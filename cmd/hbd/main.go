@@ -56,8 +56,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	mode := fs.String("mode", "serve", "serve | load | router | clusterload")
 	addr := fs.String("addr", ":8080", "serve: listen address")
 	poolMax := fs.Int("pool", 0, "serve: max resident HB instances (0 = default)")
-	cacheSize := fs.Int("cache", 0, "serve: route-cache entries (0 = default, -1 disables)")
-	shards := fs.Int("shards", 0, "serve: route-cache shards (0 = default)")
+	cacheSize := fs.Int("cache", 0, "serve: /paths and /batch response-cache entries (0 = default, -1 disables)")
+	shards := fs.Int("shards", 0, "serve: response-cache shards (0 = default)")
 	maxOrder := fs.Int("maxorder", 0, "serve: max nodes on the dense tier (0 = default)")
 	implicitMaxOrder := fs.Int("implicitmaxorder", 0, "serve: max nodes on the implicit tier (0 = default, negative disables)")
 	grace := fs.Duration("grace", 10*time.Second, "serve: shutdown drain budget")

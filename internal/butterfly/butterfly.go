@@ -140,6 +140,18 @@ func (b *Butterfly) Apply(gen int, v Node) Node {
 	}
 }
 
+// GeneratorBetween returns the generator taking u to its neighbor w,
+// and false when u-w is not an edge. For n >= 3 the four generators of
+// a vertex reach four distinct neighbors, so the answer is unique.
+func (b *Butterfly) GeneratorBetween(u, w Node) (int, bool) {
+	for gen := 0; gen < NumGens; gen++ {
+		if b.Apply(gen, u) == w {
+			return gen, true
+		}
+	}
+	return 0, false
+}
+
 // InverseGen returns the generator index that undoes gen.
 func InverseGen(gen int) int {
 	switch gen {

@@ -24,6 +24,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"strconv"
 
 	"repro/internal/bitvec"
 	"repro/internal/butterfly"
@@ -134,9 +136,18 @@ type Move struct {
 // String renders a move in the paper's notation.
 func (mv Move) String() string {
 	if mv.Cube {
-		return fmt.Sprintf("h%d", mv.Index)
+		return "h" + strconv.Itoa(mv.Index)
 	}
 	return butterfly.GeneratorNames[mv.Index]
+}
+
+// AppendName appends String's rendering of mv to buf without
+// allocating (the hbd /route encoder names every hop with it).
+func (mv Move) AppendName(buf []byte) []byte {
+	if mv.Cube {
+		return strconv.AppendInt(append(buf, 'h'), int64(mv.Index), 10)
+	}
+	return append(buf, butterfly.GeneratorNames[mv.Index]...)
 }
 
 // Inverse returns the move undoing mv (the generator set is closed under
@@ -221,6 +232,28 @@ func (hb *HyperButterfly) RouteMoves(u, v Node) []Move {
 		moves = append(moves, Move{Index: g})
 	}
 	return moves
+}
+
+// MoveBetween returns the generator taking u to its neighbor w, and
+// false when u-w is not an edge. The generators of one vertex reach
+// distinct neighbors (n >= 3), so each hop of a route names exactly the
+// move RouteMoves lists for it; the hbd /route encoder derives its move
+// names from AppendRoute's hops this way, allocation-free.
+func (hb *HyperButterfly) MoveBetween(u, w Node) (Move, bool) {
+	hu, bu := hb.Decode(u)
+	hw, bw := hb.Decode(w)
+	switch {
+	case bu == bw:
+		d := uint(hu ^ hw)
+		if d == 0 || d&(d-1) != 0 {
+			return Move{}, false
+		}
+		return Move{Cube: true, Index: bits.TrailingZeros(d)}, true
+	case hu == hw:
+		g, ok := hb.bf.GeneratorBetween(bu, bw)
+		return Move{Index: g}, ok
+	}
+	return Move{}, false
 }
 
 // Route returns a shortest path from u to v as a node sequence including

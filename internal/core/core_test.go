@@ -93,6 +93,59 @@ func TestMoveString(t *testing.T) {
 	}
 }
 
+// TestMoveBetweenNamesRouteHops: naming each AppendRoute hop with
+// MoveBetween reproduces RouteMoves move for move, AppendName renders
+// exactly what String does, and non-edges report false.
+func TestMoveBetweenNamesRouteHops(t *testing.T) {
+	for _, mv := range MustNew(4, 3).Moves() {
+		if got := string(mv.AppendName([]byte("x"))); got != "x"+mv.String() {
+			t.Errorf("AppendName(%v) = %q, want %q", mv, got, "x"+mv.String())
+		}
+	}
+	if got := (Move{Cube: true, Index: 12}).String(); got != "h12" {
+		t.Errorf("two-digit cube move = %q", got)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, d := range [][2]int{{0, 3}, {2, 3}, {3, 5}, {4, 4}} {
+		var top Topology = MustNew(d[0], d[1])
+		if d[0] == 3 {
+			top = MustNewImplicit(d[0], d[1])
+		}
+		var path []Node
+		for trial := 0; trial < 500; trial++ {
+			u, v := rng.Intn(top.Order()), rng.Intn(top.Order())
+			moves := top.RouteMoves(u, v)
+			path = top.AppendRoute(u, v, path[:0])
+			if len(path) != len(moves)+1 {
+				t.Fatalf("HB(%d,%d) %d->%d: %d hops, %d moves", d[0], d[1], u, v, len(path)-1, len(moves))
+			}
+			for i, want := range moves {
+				got, ok := top.MoveBetween(path[i], path[i+1])
+				if !ok || got != want {
+					t.Fatalf("HB(%d,%d) %d->%d hop %d: MoveBetween = %v,%v, want %v", d[0], d[1], u, v, i, got, ok, want)
+				}
+			}
+			if w := rng.Intn(top.Order()); top.Distance(u, w) != 1 {
+				if mv, ok := top.MoveBetween(u, w); ok {
+					t.Fatalf("HB(%d,%d) non-edge %d-%d named %v", d[0], d[1], u, w, mv)
+				}
+			}
+		}
+	}
+	hb := MustNew(3, 8)
+	path := hb.AppendRoute(5, hb.Order()-3, nil)
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() {
+		buf = buf[:0]
+		for i := 1; i < len(path); i++ {
+			mv, _ := hb.MoveBetween(path[i-1], path[i])
+			buf = mv.AppendName(buf)
+		}
+	}); n != 0 {
+		t.Errorf("naming a route allocates %v times, want 0", n)
+	}
+}
+
 // TestRemark6Routing (claim R6) checks exhaustively that the two-phase
 // route realises the shortest-path distance and is a valid path. The
 // HB(2,3) instance always runs; HB(3,3) rides along unless -short.

@@ -32,6 +32,7 @@ type Topology interface {
 	Route(u, v Node) []Node
 	AppendRoute(u, v Node, buf []Node) []Node
 	RouteMoves(u, v Node) []Move
+	MoveBetween(u, w Node) (Move, bool)
 
 	// Theorem 5 vertex-disjoint paths.
 	DisjointPaths(u, v Node) ([][]Node, error)

@@ -41,7 +41,7 @@ const (
 	maxBatchPairs = 1 << 16
 	// maxBatchBody bounds the request body read.
 	maxBatchBody = 16 << 20
-	// batchCacheMaxPairs bounds which batches enter the route cache:
+	// batchCacheMaxPairs bounds which batches enter the response cache:
 	// small batches (conformance probes, repeated UI queries) hit; load
 	// test batches of ~1k pairs bypass so the cache is not churned by
 	// high-cardinality bodies.
@@ -122,7 +122,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if err := checkDeadline(r); err != nil {
+	if err := checkDeadline(w, r); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -426,7 +426,7 @@ func (s *Server) faultRouteBatch(top core.Topology, d Dims, req *batchRequest, s
 	sc.nodes = sc.nodes[:0]
 	ir.mu.Lock()
 	defer ir.mu.Unlock()
-	if err := ir.r.SetFaults(req.faults); err != nil {
+	if err := ir.setFaults(req.faults); err != nil {
 		return badRequest("%v", err)
 	}
 	for i := 0; i < pairs; i++ {
@@ -543,14 +543,9 @@ func appendJSONInt32s(out []byte, name string, vals []int32) []byte {
 }
 
 func appendJSONInts(out []byte, name string, vals []int) []byte {
-	out = appendJSONName(out, name)
-	for i, v := range vals {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		out = strconv.AppendInt(out, int64(v), 10)
-	}
-	return append(out, ']')
+	out = append(out, ',', '"')
+	out = append(out, name...)
+	return appendIntArray(append(out, '"', ':'), vals)
 }
 
 func appendJSONName(out []byte, name string) []byte {

@@ -18,7 +18,7 @@ func BenchmarkRouteCache(b *testing.B) {
 	hb := core.MustNew(2, 4)
 	compute := func(u, v int) func() ([]byte, error) {
 		return func() ([]byte, error) {
-			return marshalBody(routeResponse{U: u, V: v, Path: hb.Route(u, v)})
+			return appendRouteBody(nil, hb, Dims{M: 2, N: 4}, hb.Route(u, v), false), nil
 		}
 	}
 
@@ -63,38 +63,30 @@ func BenchmarkRouteCache(b *testing.B) {
 	})
 }
 
-func BenchmarkHandlerRoute(b *testing.B) {
-	s := NewServer(Config{})
-	handler := s.Handler()
-
-	b.Run("warm", func(b *testing.B) {
-		req := httptest.NewRequest(http.MethodGet, "/route?m=2&n=4&u=0&v=200", nil)
-		handler.ServeHTTP(httptest.NewRecorder(), req)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			w := httptest.NewRecorder()
-			handler.ServeHTTP(w, req)
-			if w.Code != 200 {
-				b.Fatalf("status %d", w.Code)
+// BenchmarkHandler measures one request through the daemon's root
+// handler with a reusable writer, per serving tier: /route on the
+// dense tier (HB(3,8)) and the implicit tier (HB(10,10)), /faultroute
+// on an unchanged fault set, and a /paths cache hit. /route is
+// uncached, so every iteration runs the kernel and the encoder.
+func BenchmarkHandler(b *testing.B) {
+	h := NewServer(Config{}).Handler()
+	for _, bc := range []struct{ name, target string }{
+		{"route/hb3x8", "/route?m=3&n=8&u=5&v=16000"},
+		{"route/hb10x10", "/route?m=10&n=10&u=12345&v=10485000"},
+		{"faultroute/hb3x8", "/faultroute?m=3&n=8&u=5&v=16000&faults=6,700,9000"},
+		{"paths-hit/hb3x8", "/paths?m=3&n=8&u=5&v=16000"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			w := newStubWriter()
+			r := httptest.NewRequest(http.MethodGet, bc.target, nil)
+			serveStub(b, h, w, r) // warms the pool, router and cache
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serveStub(b, h, w, r)
 			}
-		}
-	})
-
-	b.Run("cold", func(b *testing.B) {
-		// CacheSize -1 disables memoisation: every request renders.
-		cold := NewServer(Config{CacheSize: -1}).Handler()
-		req := httptest.NewRequest(http.MethodGet, "/route?m=2&n=4&u=0&v=200", nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			w := httptest.NewRecorder()
-			cold.ServeHTTP(w, req)
-			if w.Code != 200 {
-				b.Fatalf("status %d", w.Code)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkRouterForward measures the router's own per-request

@@ -10,7 +10,7 @@ import (
 // RouteCache is a sharded LRU cache of rendered response bodies with
 // per-key singleflight deduplication: concurrent requests for the same
 // key compute once and all receive the same byte slice. Keys are the
-// full query identity ("route|m|n|u|v"), values are the final JSON
+// full query identity ("paths|m|n|u|v"), values are the final JSON
 // bytes — caching after rendering is what makes responses
 // byte-identical regardless of concurrency or cache state.
 //

@@ -23,7 +23,7 @@ import (
 // hbd replicas answering while the same churn schedules kill and
 // restart whole servers. It consistent-hash-shards the (dims,u,v)
 // keyspace across N replica base URLs (so each replica's instance pool
-// and route cache stay hot on its own shard), forwards with a bounded
+// and response cache stay hot on its own shard), forwards with a bounded
 // queue (shedding 503 + Retry-After beyond it, like the replicas
 // themselves), actively health-checks peers with deadline probes and
 // ejection/re-admission hysteresis, and retries transport failures on

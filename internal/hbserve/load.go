@@ -21,11 +21,12 @@ import (
 // mixes mirror simnet's traffic patterns at the serving layer:
 //
 //   - uniform: every request draws a fresh random (u,v) pair, so the
-//     route cache sees mostly misses on large instances — the cold-path
-//     number;
+//     /paths cache sees mostly misses on large instances — the
+//     cold-path number;
 //   - permutation: a fixed random permutation pairs each node with one
 //     destination and requests cycle through those pairs, so after one
-//     lap every request is a cache hit — the warm-path number.
+//     lap every /paths request is a cache hit — the warm-path number.
+//     /route is never cached, so both mixes measure its recompute.
 //
 // Pacing is open-loop at a target QPS (a catch-up dispatcher sends
 // whatever the elapsed time says is due, so the target is reachable well
@@ -85,7 +86,7 @@ type LoadResult struct {
 
 // loadBatchBodies bounds how many distinct request bodies batch mode
 // prebuilds; beyond it the rotation repeats (batches over the cache
-// bound bypass the route cache, so repeats still measure compute).
+// bound bypass the response cache, so repeats still measure compute).
 const loadBatchBodies = 128
 
 // Load runs one configured mix to completion.

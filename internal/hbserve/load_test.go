@@ -49,13 +49,30 @@ func TestLoadAgainstLiveServer(t *testing.T) {
 		rep.Results = append(rep.Results, res)
 	}
 
-	// HB(1,3) has 48 nodes: both mixes together far exceed the distinct
-	// pair count, so the cache must be taking hits by now.
+	// /route is uncached; a permutation lap of /paths over HB(1,3)'s 48
+	// nodes repeats its pairs, so the cache must be taking hits by now.
+	paths, err := Load(LoadConfig{
+		BaseURL:  ts.URL,
+		M:        1,
+		N:        3,
+		Endpoint: "paths",
+		Mix:      "permutation",
+		QPS:      400,
+		Duration: 500 * time.Millisecond,
+		Workers:  8,
+		Seed:     1,
+	})
+	if err != nil {
+		t.Fatalf("paths: %v", err)
+	}
+	if paths.Non2xx != 0 {
+		t.Fatalf("paths: %d non-2xx responses", paths.Non2xx)
+	}
 	if err := rep.ScrapeCacheStats(ts.URL); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Cache.Hits == 0 {
-		t.Error("no cache hits after repeated mixes on a 48-node instance")
+		t.Error("no cache hits after a /paths permutation lap on a 48-node instance")
 	}
 	if rep.Cache.HitRate <= 0 {
 		t.Errorf("hit rate %v", rep.Cache.HitRate)

@@ -3,6 +3,7 @@ package hbserve
 import (
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -66,11 +67,41 @@ const len0 = 15 // len(latencyBuckets); array sizes need a constant
 // RequestStart marks a request in flight.
 func (m *Metrics) RequestStart() { m.inflight.Add(1) }
 
-// RequestEnd records one finished request.
-func (m *Metrics) RequestEnd(endpoint string, code int, elapsed time.Duration) {
-	m.inflight.Add(-1)
-	m.counter(endpoint, code).Add(1)
-	m.histogram(endpoint).observe(elapsed)
+// endpointStats caches one endpoint's registry entries so a request
+// that answers 200 is recorded with atomics alone: no label key is
+// built and the registry mutex is not taken. Entries are resolved on
+// first use, so the exposition lists exactly the label sets that have
+// served; other status codes take the keyed lookup.
+type endpointStats struct {
+	m    *Metrics
+	name string
+	hist atomic.Pointer[latencyHistogram]
+	ok   atomic.Pointer[atomic.Uint64] // the code-200 counter
+}
+
+// endpoint returns the recorder for one endpoint label; instrument
+// calls it once per handler at registration.
+func (m *Metrics) endpoint(name string) *endpointStats {
+	return &endpointStats{m: m, name: name}
+}
+
+// end records one finished request.
+func (e *endpointStats) end(code int, elapsed time.Duration) {
+	e.m.inflight.Add(-1)
+	c := e.ok.Load()
+	if code != http.StatusOK {
+		c = e.m.counter(e.name, code)
+	} else if c == nil {
+		c = e.m.counter(e.name, code)
+		e.ok.Store(c)
+	}
+	c.Add(1)
+	h := e.hist.Load()
+	if h == nil {
+		h = e.m.histogram(e.name)
+		e.hist.Store(h)
+	}
+	h.observe(elapsed)
 }
 
 // InFlight returns the current in-flight request count.
@@ -275,10 +306,10 @@ func (m *Metrics) WriteTo(w io.Writer, cache *RouteCache, pool *Pool) {
 
 	if cache != nil {
 		hits, misses, dedups := cache.Stats()
-		fmt.Fprintf(w, "# HELP hbd_route_cache_hits_total Route-cache hits.\n# TYPE hbd_route_cache_hits_total counter\nhbd_route_cache_hits_total %d\n", hits)
-		fmt.Fprintf(w, "# HELP hbd_route_cache_misses_total Route-cache misses (computations).\n# TYPE hbd_route_cache_misses_total counter\nhbd_route_cache_misses_total %d\n", misses)
+		fmt.Fprintf(w, "# HELP hbd_route_cache_hits_total Response-cache hits (/paths, small /batch).\n# TYPE hbd_route_cache_hits_total counter\nhbd_route_cache_hits_total %d\n", hits)
+		fmt.Fprintf(w, "# HELP hbd_route_cache_misses_total Response-cache misses (computations).\n# TYPE hbd_route_cache_misses_total counter\nhbd_route_cache_misses_total %d\n", misses)
 		fmt.Fprintf(w, "# HELP hbd_route_cache_dedup_total Requests coalesced onto another's computation.\n# TYPE hbd_route_cache_dedup_total counter\nhbd_route_cache_dedup_total %d\n", dedups)
-		fmt.Fprintf(w, "# HELP hbd_route_cache_entries Resident route-cache entries.\n# TYPE hbd_route_cache_entries gauge\nhbd_route_cache_entries %d\n", cache.Len())
+		fmt.Fprintf(w, "# HELP hbd_route_cache_entries Resident response-cache entries.\n# TYPE hbd_route_cache_entries gauge\nhbd_route_cache_entries %d\n", cache.Len())
 	}
 	if pool != nil {
 		fmt.Fprintf(w, "# HELP hbd_pool_instances Resident HB instances.\n# TYPE hbd_pool_instances gauge\nhbd_pool_instances %d\n", pool.Len())

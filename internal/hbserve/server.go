@@ -4,13 +4,19 @@
 // are cheap by construction (Theorems 3 and 5 make routes and the m+4
 // disjoint paths label-computable), so the serving problem is the
 // classic one — amortise instance construction across requests (Pool),
-// dedupe and memoise the hot path (RouteCache, singleflight), observe
+// keep the per-request path near the cost of the kernel, memoise what
+// is expensive to recompute (RouteCache, singleflight), observe
 // everything (Metrics, /metrics), and drain cleanly on shutdown.
 //
-// Responses for /route and /paths are rendered once and cached as
-// bytes, so identical queries return byte-identical bodies no matter
-// how they interleave. /faultroute takes a caller-supplied fault set
-// and is deliberately uncached (fault sets are high-cardinality);
+// /route is recomputed on every request: the query is read once from
+// the raw query string, the route comes from the allocation-free
+// AppendRoute kernel, and the body is appended into a pooled buffer, so
+// a recompute costs less than a cache lookup did. /paths (a cold
+// case-3 answer costs milliseconds) and small /batch bodies are
+// rendered once and cached as bytes, marked by an X-Cache header;
+// identical queries return byte-identical bodies on every endpoint, no
+// matter how they interleave. /faultroute takes a caller-supplied fault
+// set and is deliberately uncached (fault sets are high-cardinality);
 // /conformance re-runs the paper's invariant registry on demand;
 // /estimate answers sampled diameter/distance questions with explicit
 // confidence statements on instances too large for exact sweeps.
@@ -32,7 +38,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -85,6 +91,27 @@ type Server struct {
 type instanceRouter struct {
 	mu sync.Mutex
 	r  *faultroute.Router
+
+	// last is the fault list of the most recent successful SetFaults,
+	// valid while known is set; a request repeating it skips the diff.
+	last  []int
+	known bool
+}
+
+// setFaults moves the router to faults, skipping the diff when the list
+// repeats the previous call's (SetFaults is then a no-op that still
+// allocates its working set). Callers hold ir.mu.
+func (ir *instanceRouter) setFaults(faults []int) error {
+	if ir.known && slices.Equal(ir.last, faults) {
+		return nil
+	}
+	ir.known = false
+	if err := ir.r.SetFaults(faults); err != nil {
+		return err
+	}
+	ir.last = append(ir.last[:0], faults...)
+	ir.known = true
+	return nil
 }
 
 // Config sizes a Server. Zero values select the defaults.
@@ -95,9 +122,10 @@ type Config struct {
 	// above MaxOrder; 0 means DefaultImplicitMaxOrder, < 0 disables
 	// implicit serving.
 	ImplicitMaxOrder int
-	CacheSize        int // route-cache capacity in entries; < 0 disables
-	CacheShard       int // route-cache shard count (DefaultCacheShards)
-	// RequestTimeout bounds each instrumented request via its context;
+	CacheSize        int // /paths and /batch cache capacity in entries; < 0 disables
+	CacheShard       int // response-cache shard count (DefaultCacheShards)
+	// RequestTimeout bounds each instrumented request: the heavy
+	// handlers answer 503 once it has passed since the request started;
 	// 0 means DefaultRequestTimeout, < 0 disables the deadline.
 	RequestTimeout time.Duration
 	// MaxInFlight sheds load with a 503 + Retry-After once this many
@@ -109,8 +137,9 @@ type Config struct {
 	BatchWorkers int
 }
 
-// DefaultCacheSize holds rendered /route and /paths bodies; entries
-// are small (a path is tens of ints) so this is a few MB at worst.
+// DefaultCacheSize holds rendered /paths and small /batch bodies;
+// entries are small (m+4 paths of tens of ints) so this is a few MB at
+// worst.
 const DefaultCacheSize = 4096
 
 // DefaultRequestTimeout bounds a single request; generous enough for a
@@ -178,7 +207,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // it runs in-process during tests).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Cache exposes the route cache for stats inspection.
+// Cache exposes the /paths and /batch response cache for stats
+// inspection.
 func (s *Server) Cache() *RouteCache { return s.cache }
 
 // ListenAndServe serves on addr until ctx is cancelled, then drains
@@ -214,12 +244,18 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, grace time.Duration
 
 // statusWriter captures the response code for metrics and whether a
 // header has gone out (after that, a panic recovery can only abort, not
-// rewrite the response).
+// rewrite the response). It also carries the request's start time and
+// deadline, so the middleware needs no per-request context. Writers are
+// pooled: instrument owns one for exactly the span of a request.
 type statusWriter struct {
 	http.ResponseWriter
-	code  int
-	wrote bool
+	code     int
+	wrote    bool
+	start    time.Time
+	deadline time.Time // zero when RequestTimeout is disabled
 }
+
+var statusWriterPool = sync.Pool{New: func() any { return new(statusWriter) }}
 
 func (w *statusWriter) WriteHeader(code int) {
 	w.code = code
@@ -236,14 +272,19 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // the in-flight gauge, per-endpoint counter and latency histogram;
 // load shedding (503 + Retry-After beyond maxInFlight, so an
 // overloaded daemon degrades crisply instead of queueing without
-// bound); a per-request deadline on the context; and panic recovery
-// that answers 500 and increments a metric instead of killing the
-// daemon.
+// bound); a per-request deadline that checkDeadline enforces; and
+// panic recovery that answers 500 and increments a metric instead of
+// killing the daemon. The endpoint's metrics are resolved here, once,
+// so a request allocates nothing in the middleware.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	stats := s.metrics.endpoint(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.RequestStart()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		start := time.Now()
+		sw := statusWriterPool.Get().(*statusWriter)
+		*sw = statusWriter{ResponseWriter: w, code: http.StatusOK, start: time.Now()}
+		if s.timeout > 0 {
+			sw.deadline = sw.start.Add(s.timeout)
+		}
 		defer func() {
 			if p := recover(); p != nil {
 				s.metrics.PanicRecovered()
@@ -255,11 +296,13 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 					})
 				}
 			}
-			s.metrics.RequestEnd(endpoint, sw.code, time.Since(start))
+			stats.end(sw.code, time.Since(sw.start))
+			*sw = statusWriter{}
+			statusWriterPool.Put(sw)
 		}()
 		if s.maxInFlight > 0 && s.metrics.InFlight() > s.maxInFlight {
 			s.metrics.LoadShed()
-			sw.Header().Set("Retry-After", "1")
+			sw.Header()["Retry-After"] = hdrRetryAfter
 			writeErr(sw, &httpError{
 				code: http.StatusServiceUnavailable,
 				msg:  fmt.Sprintf("over capacity: %d requests in flight", s.metrics.InFlight()),
@@ -269,20 +312,18 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		if s.testHook != nil {
 			s.testHook(endpoint)
 		}
-		if s.timeout > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
 		h(sw, r)
 	}
 }
 
-// checkDeadline maps an already-expired request context to a 503 the
-// heavy handlers (/conformance, /faultroute) consult before starting
-// expensive work.
-func checkDeadline(r *http.Request) error {
-	if err := r.Context().Err(); err != nil {
+// checkDeadline maps a cancelled request context, or a RequestTimeout
+// already spent since instrument started the request, to the 503 the
+// heavy handlers (/conformance, /faultroute, /estimate, /batch) consult
+// before starting expensive work. w is the writer instrument passed in;
+// outside instrument only the context is consulted.
+func checkDeadline(w http.ResponseWriter, r *http.Request) error {
+	sw, _ := w.(*statusWriter)
+	if r.Context().Err() != nil || sw != nil && !sw.deadline.IsZero() && !time.Now().Before(sw.deadline) {
 		return &httpError{code: http.StatusServiceUnavailable, msg: "request deadline exceeded before work started"}
 	}
 	return nil
@@ -300,15 +341,45 @@ func badRequest(format string, args ...any) error {
 	return &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
+// Shared header values: assigning one of these to a header key costs
+// no allocation, where Header.Set builds a fresh []string per call.
+// Header.Add on such a key appends past the length-1 capacity, so it
+// copies instead of writing into the shared slice.
+var (
+	hdrJSON       = []string{ctJSON}
+	hdrBatchBin   = []string{ctBatchBin}
+	hdrHit        = []string{"hit"}
+	hdrMiss       = []string{"miss"}
+	hdrBypass     = []string{"bypass"}
+	hdrRetryAfter = []string{"1"}
+)
+
+// headerValue returns the shared slice for v, or a fresh one.
+func headerValue(v string) []string {
+	switch v {
+	case ctJSON:
+		return hdrJSON
+	case ctBatchBin:
+		return hdrBatchBin
+	case "hit":
+		return hdrHit
+	case "miss":
+		return hdrMiss
+	case "bypass":
+		return hdrBypass
+	}
+	return []string{v}
+}
+
 // setResponseHeaders is the single place response headers are
 // assembled: every handler path goes through it, so Content-Type and
 // X-Cache can never drift between the cache-hit and cache-miss paths.
 // cache is "" for uncached responses (no X-Cache header).
 func setResponseHeaders(w http.ResponseWriter, contentType, cache string) {
 	h := w.Header()
-	h.Set("Content-Type", contentType)
+	h["Content-Type"] = headerValue(contentType)
 	if cache != "" {
-		h.Set("X-Cache", cache)
+		h["X-Cache"] = headerValue(cache)
 	}
 }
 
@@ -338,20 +409,14 @@ func writeErr(w http.ResponseWriter, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// writeCached writes pre-rendered JSON bytes (already newline-
-// terminated by the encoder that produced them).
-func writeCached(w http.ResponseWriter, body []byte, hit bool) {
-	writeBody(w, ctJSON, cacheState(hit), body)
-}
-
 // query parsing ------------------------------------------------------
 
-func (s *Server) instance(r *http.Request) (core.Topology, Dims, error) {
-	m, err := intParam(r, "m", 2)
+func (s *Server) instance(q query) (core.Topology, Dims, error) {
+	m, err := intParam(q, "m", 2)
 	if err != nil {
 		return nil, Dims{}, err
 	}
-	n, err := intParam(r, "n", 3)
+	n, err := intParam(q, "n", 3)
 	if err != nil {
 		return nil, Dims{}, err
 	}
@@ -361,6 +426,19 @@ func (s *Server) instance(r *http.Request) (core.Topology, Dims, error) {
 		return nil, d, badRequest("%v", err)
 	}
 	return top, d, nil
+}
+
+// pair resolves the instance and the u, v endpoints every pair query
+// names, reporting the first bad parameter in m, n, u, v order.
+func (s *Server) pair(q query) (top core.Topology, d Dims, u, v int, err error) {
+	if top, d, err = s.instance(q); err != nil {
+		return
+	}
+	if u, err = nodeParam(q, top, "u"); err != nil {
+		return
+	}
+	v, err = nodeParam(q, top, "v")
+	return
 }
 
 // denseBackend unwraps a Topology to its dense-capable instance, or nil
@@ -377,113 +455,35 @@ func denseBackend(top core.Topology) *core.HyperButterfly {
 	return nil
 }
 
-func intParam(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, badRequest("parameter %s=%q is not an integer", name, raw)
-	}
-	return v, nil
-}
-
-func nodeParam(r *http.Request, top core.Topology, name string) (core.Node, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return 0, badRequest("missing node parameter %q", name)
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, badRequest("node parameter %s=%q is not an integer", name, raw)
-	}
-	if !top.ValidNode(v) {
-		return 0, badRequest("node %s=%d out of range [0,%d)", name, v, top.Order())
-	}
-	return v, nil
-}
-
 // handlers -----------------------------------------------------------
 
-type routeResponse struct {
-	M        int      `json:"m"`
-	N        int      `json:"n"`
-	U        int      `json:"u"`
-	V        int      `json:"v"`
-	Distance int      `json:"distance"`
-	Path     []int    `json:"path"`
-	Moves    []string `json:"moves"`
-	Verified bool     `json:"verified,omitempty"`
-}
-
+// handleRoute answers /route uncached: AppendRoute fills a pooled
+// buffer and the body is appended next to it, so a request allocates
+// nothing on its own.
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	hb, d, err := s.instance(r)
+	q := parseQuery(r.URL.RawQuery)
+	top, d, u, v, err := s.pair(q)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	u, err := nodeParam(r, hb, "u")
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	v, err := nodeParam(r, hb, "v")
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	verify := boolParam(r, "verify")
-	key := cacheKey("route", d, u, v, verify)
-	body, hit, err := s.cache.GetOrCompute(key, func() ([]byte, error) {
-		moves := hb.RouteMoves(u, v)
-		names := make([]string, len(moves))
-		for i, mv := range moves {
-			names[i] = mv.String()
+	sc := getSingleScratch()
+	defer putSingleScratch(sc)
+	sc.nodes = top.AppendRoute(u, v, sc.nodes[:0])
+	verify := boolParam(q, "verify")
+	if verify {
+		if err := s.verifyRoute(top, u, v, sc.nodes); err != nil {
+			writeErr(w, err)
+			return
 		}
-		resp := routeResponse{
-			M: d.M, N: d.N, U: u, V: v,
-			Distance: len(moves),
-			Path:     hb.Route(u, v),
-			Moves:    names,
-		}
-		if verify {
-			if err := s.verifyRoute(hb, u, v, resp.Path); err != nil {
-				return nil, err
-			}
-			resp.Verified = true
-		}
-		return marshalBody(resp)
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
 	}
-	writeCached(w, body, hit)
-}
-
-type pathsResponse struct {
-	M        int     `json:"m"`
-	N        int     `json:"n"`
-	U        int     `json:"u"`
-	V        int     `json:"v"`
-	Count    int     `json:"count"`
-	Paths    [][]int `json:"paths"`
-	Verified bool    `json:"verified,omitempty"`
+	sc.body = appendRouteBody(sc.body[:0], top, d, sc.nodes, verify)
+	writeBody(w, ctJSON, "", sc.body)
 }
 
 func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
-	hb, d, err := s.instance(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	u, err := nodeParam(r, hb, "u")
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	v, err := nodeParam(r, hb, "v")
+	q := parseQuery(r.URL.RawQuery)
+	top, d, u, v, err := s.pair(q)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -492,70 +492,47 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, badRequest("disjoint paths need distinct endpoints (u=v=%d)", u))
 		return
 	}
-	verify := boolParam(r, "verify")
+	verify := boolParam(q, "verify")
 	key := cacheKey("paths", d, u, v, verify)
 	body, hit, err := s.cache.GetOrCompute(key, func() ([]byte, error) {
-		paths, err := hb.DisjointPaths(u, v)
+		paths, err := top.DisjointPaths(u, v)
 		if err != nil {
 			return nil, err
 		}
-		resp := pathsResponse{
-			M: d.M, N: d.N, U: u, V: v,
-			Count: len(paths),
-			Paths: paths,
-		}
 		if verify {
-			if err := s.verifyPaths(hb, u, v, paths); err != nil {
+			if err := s.verifyPaths(top, u, v, paths); err != nil {
 				return nil, err
 			}
-			resp.Verified = true
 		}
-		return marshalBody(resp)
+		return appendPathsBody(nil, d, u, v, paths, verify), nil
 	})
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeCached(w, body, hit)
-}
-
-type faultRouteResponse struct {
-	M               int    `json:"m"`
-	N               int    `json:"n"`
-	U               int    `json:"u"`
-	V               int    `json:"v"`
-	Faults          []int  `json:"faults"`
-	WithinGuarantee bool   `json:"within_guarantee"`
-	Strategy        string `json:"strategy"`
-	Path            []int  `json:"path"`
+	writeBody(w, ctJSON, cacheState(hit), body)
 }
 
 func (s *Server) handleFaultRoute(w http.ResponseWriter, r *http.Request) {
-	hb, d, err := s.instance(r)
+	q := parseQuery(r.URL.RawQuery)
+	top, d, u, v, err := s.pair(q)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	u, err := nodeParam(r, hb, "u")
+	sc := getSingleScratch()
+	defer putSingleScratch(sc)
+	faults, err := appendFaultsParam(q, top, sc.faults)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	v, err := nodeParam(r, hb, "v")
-	if err != nil {
+	sc.faults = faults
+	if err := checkDeadline(w, r); err != nil {
 		writeErr(w, err)
 		return
 	}
-	faults, err := faultsParam(r, hb)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	if err := checkDeadline(r); err != nil {
-		writeErr(w, err)
-		return
-	}
-	ir, err := s.routerFor(d, hb)
+	ir, err := s.routerFor(d, top)
 	if err != nil {
 		writeErr(w, badRequest("%v", err))
 		return
@@ -564,7 +541,7 @@ func (s *Server) handleFaultRoute(w http.ResponseWriter, r *http.Request) {
 	// set, so it holds the instance lock; the incremental router keeps
 	// every cached path that survives the diff.
 	ir.mu.Lock()
-	if err := ir.r.SetFaults(faults); err != nil {
+	if err := ir.setFaults(faults); err != nil {
 		ir.mu.Unlock()
 		writeErr(w, badRequest("%v", err))
 		return
@@ -577,15 +554,10 @@ func (s *Server) handleFaultRoute(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, &httpError{code: http.StatusUnprocessableEntity, msg: err.Error()})
 		return
 	}
-	resp := faultRouteResponse{
-		M: d.M, N: d.N, U: u, V: v,
-		Faults:          faults,
-		WithinGuarantee: ir.r.WithinGuarantee(),
-		Strategy:        ir.r.LastStrategy(),
-		Path:            path,
-	}
+	within, strategy := ir.r.WithinGuarantee(), ir.r.LastStrategy()
 	ir.mu.Unlock()
-	writeJSON(w, resp)
+	sc.body = appendFaultRouteBody(sc.body[:0], d, u, v, faults, within, strategy, path)
+	writeBody(w, ctJSON, "", sc.body)
 }
 
 // routerFor returns the resident incremental router for d, building it
@@ -609,37 +581,6 @@ func (s *Server) routerFor(d Dims, top core.Topology) (*instanceRouter, error) {
 	return ir, nil
 }
 
-// faultsParam parses faults=3,17,40 into a sorted, deduplicated,
-// always-non-nil slice, so the echoed "faults" field is a canonical JSON
-// array ([] rather than null, 3,3,1 rendered as [1,3]) regardless of how
-// the caller spelled the query.
-func faultsParam(r *http.Request, top core.Topology) ([]int, error) {
-	out := []int{}
-	raw := r.URL.Query().Get("faults")
-	if raw == "" {
-		return out, nil
-	}
-	for _, p := range strings.Split(raw, ",") {
-		f, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, badRequest("fault id %q is not an integer", p)
-		}
-		if !top.ValidNode(f) {
-			return nil, badRequest("fault %d out of range [0,%d)", f, top.Order())
-		}
-		out = append(out, f)
-	}
-	sort.Ints(out)
-	j := 0
-	for i, f := range out {
-		if i == 0 || f != out[j-1] {
-			out[j] = f
-			j++
-		}
-	}
-	return out[:j], nil
-}
-
 type infoResponse struct {
 	M            int `json:"m"`
 	N            int `json:"n"`
@@ -651,7 +592,7 @@ type infoResponse struct {
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	hb, d, err := s.instance(r)
+	hb, d, err := s.instance(parseQuery(r.URL.RawQuery))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -672,7 +613,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 const maxConformanceOrder = 1 << 12
 
 func (s *Server) handleConformance(w http.ResponseWriter, r *http.Request) {
-	top, d, err := s.instance(r)
+	top, d, err := s.instance(parseQuery(r.URL.RawQuery))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -690,7 +631,7 @@ func (s *Server) handleConformance(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, badRequest("conformance unsupported on backend %T", top))
 		return
 	}
-	if err := checkDeadline(r); err != nil {
+	if err := checkDeadline(w, r); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -740,21 +681,22 @@ type estimateResponse struct {
 // makes the response identity high-cardinality and recomputation is
 // only milliseconds.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	top, d, err := s.instance(r)
+	q := parseQuery(r.URL.RawQuery)
+	top, d, err := s.instance(q)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
 	// A loaded snapshot makes the answer exact and O(1); live=1 opts back
 	// into the sampled path (for comparing the estimator against truth).
-	if !boolParam(r, "live") {
+	if !boolParam(q, "live") {
 		if e := s.snapshotFor(d); e != nil {
-			w.Header().Set("X-Snapshot", "hit")
+			w.Header()["X-Snapshot"] = hdrHit
 			writeBody(w, ctJSON, "", e.estimateBody)
 			return
 		}
 	}
-	samples, err := intParam(r, "samples", defaultEstimateSamples)
+	samples, err := intParam(q, "samples", defaultEstimateSamples)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -763,12 +705,12 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, badRequest("samples=%d outside [1,%d]", samples, maxEstimateSamples))
 		return
 	}
-	seed, err := intParam(r, "seed", 0)
+	seed, err := intParam(q, "seed", 0)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	scan, err := intParam(r, "scan", 0)
+	scan, err := intParam(q, "scan", 0)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -781,7 +723,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, badRequest("scan on %v (%d nodes) exceeds the exact-scan cap %d", d, top.Order(), maxScanOrder))
 		return
 	}
-	if err := checkDeadline(r); err != nil {
+	if err := checkDeadline(w, r); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -809,7 +751,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// cacheKey builds the full query identity for the route cache. The
+// cacheKey builds the full query identity for the response cache. The
 // verify flag is part of the identity: verified and unverified bodies
 // differ.
 func cacheKey(kind string, d Dims, u, v int, verify bool) string {
@@ -819,12 +761,6 @@ func cacheKey(kind string, d Dims, u, v int, verify bool) string {
 		key += "|verified"
 	}
 	return key
-}
-
-// boolParam reads a flag parameter (accepted forms: 1, true).
-func boolParam(r *http.Request, name string) bool {
-	raw := r.URL.Query().Get(name)
-	return raw == "1" || raw == "true"
 }
 
 // verification -------------------------------------------------------

@@ -94,10 +94,10 @@ func TestRouteByteIdenticalUnderConcurrency(t *testing.T) {
 			t.Fatalf("response %d differs:\n%s\nvs\n%s", i, bodies[0], bodies[i])
 		}
 	}
-	// A later (cache-hit) request must also be byte-identical.
+	// A later request must also be byte-identical.
 	_, again := get(t, url)
 	if !bytes.Equal(bodies[0], again) {
-		t.Fatalf("cached response differs:\n%s\nvs\n%s", bodies[0], again)
+		t.Fatalf("later response differs:\n%s\nvs\n%s", bodies[0], again)
 	}
 }
 
@@ -231,8 +231,11 @@ func TestConformanceEndpoint(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	s, ts := newTestServer(t)
 	get(t, ts.URL+"/route?m=2&n=3&u=0&v=95")
-	get(t, ts.URL+"/route?m=2&n=3&u=0&v=95") // hit
+	get(t, ts.URL+"/route?m=2&n=3&u=0&v=95")
 	get(t, ts.URL+"/route?m=2&n=3&u=0&v=bad")
+	// /route is uncached; /paths carries the cache counters.
+	get(t, ts.URL+"/paths?m=2&n=3&u=0&v=95")
+	get(t, ts.URL+"/paths?m=2&n=3&u=0&v=95") // hit
 	code, body := get(t, ts.URL+"/metrics")
 	if code != 200 {
 		t.Fatalf("status %d", code)
@@ -241,6 +244,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, line := range []string{
 		`hbd_requests_total{endpoint="route",code="200"} 2`,
 		`hbd_requests_total{endpoint="route",code="400"} 1`,
+		`hbd_requests_total{endpoint="paths",code="200"} 2`,
 		`hbd_route_cache_hits_total 1`,
 		`hbd_route_cache_misses_total 1`,
 		`hbd_request_seconds_count{endpoint="route"} 3`,
@@ -256,8 +260,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("in-flight %d after requests finished", s.Metrics().InFlight())
 	}
 	total, non2xx := s.Metrics().Requests()
-	if total != 3 || non2xx != 1 {
-		t.Errorf("requests total=%d non2xx=%d, want 3,1", total, non2xx)
+	if total != 5 || non2xx != 1 {
+		t.Errorf("requests total=%d non2xx=%d, want 5,1", total, non2xx)
 	}
 }
 
@@ -332,8 +336,9 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 // TestVerifyParam exercises verify=1 on /route and /paths: responses
-// carry verified:true, bodies are cached separately from unverified
-// ones, and every sampled pair passes the independent BFS check.
+// carry verified:true, /paths bodies are cached separately from
+// unverified ones, and every sampled pair passes the independent BFS
+// check.
 func TestVerifyParam(t *testing.T) {
 	s, ts := newTestServer(t)
 	hb := core.MustNew(2, 3)
@@ -376,7 +381,17 @@ func TestVerifyParam(t *testing.T) {
 	if unres.Verified {
 		t.Fatalf("unverified query returned verified body: %s", plain)
 	}
-	if _, misses, _ := s.Cache().Stats(); misses < 5 {
+	if _, misses, _ := s.Cache().Stats(); misses != 2 {
 		t.Fatalf("expected distinct cache entries per verify flag, misses = %d", misses)
+	}
+	// Both entries now answer from the cache, each with its own body.
+	if _, again := get(t, ts.URL+"/paths?m=2&n=3&u=0&v=95&verify=true"); !bytes.Equal(again, body) {
+		t.Fatalf("verified hit differs:\n%s\nvs\n%s", again, body)
+	}
+	if _, again := get(t, ts.URL+"/paths?m=2&n=3&u=0&v=95"); !bytes.Equal(again, plain) {
+		t.Fatalf("unverified hit differs:\n%s\nvs\n%s", again, plain)
+	}
+	if hits, misses, _ := s.Cache().Stats(); hits != 2 || misses != 2 {
+		t.Fatalf("cache hits=%d misses=%d after repeating both queries, want 2,2", hits, misses)
 	}
 }
