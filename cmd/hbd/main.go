@@ -22,15 +22,15 @@
 //	/metrics                       Prometheus text exposition
 //	/healthz                       liveness
 //
-// /route and /paths responses are cached and byte-identical for
-// identical queries. SIGINT/SIGTERM drain in-flight requests before
+// Responses are byte-identical for identical queries; /paths and small
+// /batch bodies are cached. SIGINT/SIGTERM drain in-flight requests before
 // exit. Every request runs under a deadline (-timeout), overload sheds
 // with 503 + Retry-After (-maxinflight), and handler panics answer 500
 // and increment hbd_panics_total instead of killing the daemon.
 //
-// Instances above -maxorder are served by the label-arithmetic implicit
-// engine up to -implicitmaxorder, so a query against HB(10,10) (~10.5M
-// nodes) answers from a cold daemon without building a graph.
+// Every instance up to -maxorder nodes is served by the label-arithmetic
+// implicit engine, so a query against HB(10,10) (~10.5M nodes) answers
+// from a cold daemon without building the product graph.
 package main
 
 import (
@@ -58,8 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	poolMax := fs.Int("pool", 0, "serve: max resident HB instances (0 = default)")
 	cacheSize := fs.Int("cache", 0, "serve: /paths and /batch response-cache entries (0 = default, -1 disables)")
 	shards := fs.Int("shards", 0, "serve: response-cache shards (0 = default)")
-	maxOrder := fs.Int("maxorder", 0, "serve: max nodes on the dense tier (0 = default)")
-	implicitMaxOrder := fs.Int("implicitmaxorder", 0, "serve: max nodes on the implicit tier (0 = default, negative disables)")
+	maxOrder := fs.Int("maxorder", 0, "serve: max nodes of a served instance; larger dims are rejected (0 = default 2^24)")
 	grace := fs.Duration("grace", 10*time.Second, "serve: shutdown drain budget")
 	timeout := fs.Duration("timeout", 0, "serve: per-request deadline (0 = default, negative disables)")
 	maxInFlight := fs.Int("maxinflight", 0, "serve: 503 load-shedding bound (0 = default, negative disables)")
@@ -100,14 +99,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch *mode {
 	case "serve":
 		srv := hbserve.NewServer(hbserve.Config{
-			PoolMax:          *poolMax,
-			MaxOrder:         *maxOrder,
-			ImplicitMaxOrder: *implicitMaxOrder,
-			CacheSize:        *cacheSize,
-			CacheShard:       *shards,
-			RequestTimeout:   *timeout,
-			MaxInFlight:      *maxInFlight,
-			BatchWorkers:     *batchWorkers,
+			PoolMax:        *poolMax,
+			MaxOrder:       *maxOrder,
+			CacheSize:      *cacheSize,
+			CacheShard:     *shards,
+			RequestTimeout: *timeout,
+			MaxInFlight:    *maxInFlight,
+			BatchWorkers:   *batchWorkers,
 		})
 		if *snapshotDir != "" {
 			loaded, err := srv.LoadSnapshots(*snapshotDir)

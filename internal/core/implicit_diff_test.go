@@ -155,4 +155,36 @@ func TestImplicitDisjointPathsMatchDense(t *testing.T) {
 			}
 		}
 	}
+
+	// HB(3,8), the paper's own large example, on case-3 pairs: the
+	// window answer is what hbd serves there, so it must never fall
+	// short of the dense Menger count (one reusable arena over the
+	// whole graph keeps the oracle affordable).
+	imp := core.MustNewImplicit(3, 8)
+	d := imp.Dense()
+	fs := graph.NewFlowScratch(d)
+	rng := rand.New(rand.NewSource(38))
+	pairs := 200
+	if testing.Short() {
+		pairs = 40
+	}
+	for found := 0; found < pairs; {
+		u, v := rng.Intn(imp.Order()), rng.Intn(imp.Order())
+		hu, bu := imp.Decode(u)
+		hv, bv := imp.Decode(v)
+		if hu == hv || bu == bv {
+			continue
+		}
+		found++
+		paths, err := imp.DisjointPaths(u, v)
+		if err != nil {
+			t.Fatalf("HB(3,8) implicit DisjointPaths(%d,%d): %v", u, v, err)
+		}
+		if err := graph.VerifyDisjointPaths(d, u, v, paths); err != nil {
+			t.Fatalf("HB(3,8) pair (%d,%d): %v", u, v, err)
+		}
+		if want := fs.LocalConnectivity(u, v, -1); len(paths) != want {
+			t.Fatalf("HB(3,8) pair (%d,%d): implicit %d paths, dense Menger %d", u, v, len(paths), want)
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 )
 
 // FuzzImplicitRoute drives the implicit router with arbitrary (m, n,
@@ -62,6 +63,51 @@ func FuzzImplicitRoute(f *testing.F) {
 				t.Fatalf("HB(%d,%d): route step %d-%d is not an implicit edge",
 					m, n, route[i-1], route[i])
 			}
+		}
+	})
+}
+
+// FuzzImplicitDisjointPaths drives the implicit Theorem 5 construction
+// with arbitrary (m, n, u, v) labels on small instances: after clamping,
+// the answer must hold exactly m+4 paths, pass VerifyDisjointPaths on
+// the dense adjacency, and match the dense Menger local connectivity —
+// so every case, and above all the case-3 window, is certified maximal
+// against an independent whole-graph max-flow.
+func FuzzImplicitDisjointPaths(f *testing.F) {
+	f.Add(uint8(2), uint8(3), uint64(0), uint64(95))    // case 3
+	f.Add(uint8(1), uint8(4), uint64(5), uint64(5+64))  // case 1: same butterfly label
+	f.Add(uint8(3), uint8(3), uint64(24), uint64(30))   // case 2: same cube label
+	f.Add(uint8(0), uint8(5), uint64(17), uint64(1<<9)) // m = 0
+	f.Add(uint8(1), uint8(3), uint64(7), uint64(7))     // u = v
+	f.Fuzz(func(t *testing.T, mRaw, nRaw uint8, uRaw, vRaw uint64) {
+		m := int(mRaw % 4)   // 0..3
+		n := 3 + int(nRaw%3) // 3..5
+		imp, err := core.NewImplicit(m, n)
+		if err != nil {
+			t.Fatalf("NewImplicit(%d,%d): %v", m, n, err)
+		}
+		order := uint64(imp.Order())
+		u, v := core.Node(uRaw%order), core.Node(vRaw%order)
+		paths, err := imp.DisjointPaths(u, v)
+		if u == v {
+			if err == nil {
+				t.Fatalf("HB(%d,%d): DisjointPaths(%d,%d) accepted equal endpoints", m, n, u, v)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("HB(%d,%d): DisjointPaths(%d,%d): %v", m, n, u, v, err)
+		}
+		if len(paths) != m+4 {
+			t.Fatalf("HB(%d,%d): DisjointPaths(%d,%d) gave %d paths, want %d", m, n, u, v, len(paths), m+4)
+		}
+		d := imp.Dense()
+		if err := graph.VerifyDisjointPaths(d, u, v, paths); err != nil {
+			t.Fatalf("HB(%d,%d): DisjointPaths(%d,%d): %v", m, n, u, v, err)
+		}
+		if want := graph.LocalConnectivity(d, u, v); len(paths) != want {
+			t.Fatalf("HB(%d,%d): DisjointPaths(%d,%d) gave %d paths, dense LocalConnectivity %d",
+				m, n, u, v, len(paths), want)
 		}
 	})
 }

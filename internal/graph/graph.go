@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -95,9 +96,10 @@ func NewDense(n int, edges [][2]int) *Dense {
 		add(e[0], e[1])
 		add(e[1], e[0])
 	}
+	// slices.Sort needs no per-row closure or swapper, so the
+	// allocation count is independent of n.
 	for v := 0; v < n; v++ {
-		row := d.adj[d.offsets[v]:d.offsets[v+1]]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		slices.Sort(d.adj[d.offsets[v]:d.offsets[v+1]])
 	}
 	return d
 }

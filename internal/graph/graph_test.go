@@ -52,6 +52,26 @@ func TestBuildMatchesNewDense(t *testing.T) {
 	}
 }
 
+// TestNewDenseAllocs pins NewDense's allocation count as independent
+// of the order: the row sort must not allocate per vertex (the implicit
+// backend builds one Dense per case-3 answer, so a per-vertex cost
+// shows up on every cold /paths).
+func TestNewDenseAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		edges := make([][2]int, 0, 2*n)
+		for v := 0; v < n; v++ {
+			edges = append(edges, [2]int{v, (v + 1) % n}, [2]int{v, (v * 7) % n})
+		}
+		return testing.AllocsPerRun(20, func() { NewDense(n, edges) })
+	}
+	base := allocs(4)
+	for _, n := range []int{64, 1024, 16384} {
+		if got := allocs(n); got != base {
+			t.Errorf("NewDense(%d) makes %v allocations, NewDense(4) %v", n, got, base)
+		}
+	}
+}
+
 func TestSelfLoopAndMultiEdge(t *testing.T) {
 	d := NewDense(2, [][2]int{{0, 0}, {0, 1}, {0, 1}})
 	if d.Degree(0) != 3 { // loop counts once, double edge twice

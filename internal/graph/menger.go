@@ -177,7 +177,12 @@ func (fs *FlowScratch) reset(s, t int) {
 }
 
 // bfsLevel builds the Dinic level graph from s; reports whether t is
-// reachable in the residual network.
+// reachable in the residual network. Expansion stops as soon as t is
+// labelled: an admissible path climbs one level per arc and ends at t,
+// so it only uses vertices below t's level, all labelled by then, and
+// t itself. The vertices this leaves unlabelled are dead ends either
+// way, so the flow and the order in which augment finds its paths are
+// unchanged.
 func (fs *FlowScratch) bfsLevel(s, t int32) bool {
 	level := fs.level
 	for i := range level {
@@ -185,7 +190,7 @@ func (fs *FlowScratch) bfsLevel(s, t int32) bool {
 	}
 	level[s] = 0
 	q := append(fs.queue[:0], s)
-	for h := 0; h < len(q); h++ {
+	for h := 0; h < len(q) && level[t] == -1; h++ {
 		v := q[h]
 		lv := level[v] + 1
 		for a := fs.head[v]; a < fs.head[v+1]; a++ {

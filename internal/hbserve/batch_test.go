@@ -144,7 +144,7 @@ func frameInts(f []byte) []int {
 // checks each pair against the single-query engines.
 func TestBatchJSONRoundTrip(t *testing.T) {
 	_, ts := newTestServer(t)
-	hb := core.MustNew(2, 3)
+	hb := core.ImplicitOf(core.MustNew(2, 3)) // the backend the pool serves
 	src, dst := batchPairs(hb.Order())
 	faults := []int{5, 17}
 
@@ -174,8 +174,8 @@ func TestBatchJSONRoundTrip(t *testing.T) {
 }
 
 // checkBatchColumns verifies a decoded columnar answer pair-by-pair
-// against the single-query oracles.
-func checkBatchColumns(t *testing.T, hb *core.HyperButterfly, op string, faults, src, dst []int, r *batchJSONResp) {
+// against the single-query oracles of the served backend top.
+func checkBatchColumns(t *testing.T, hb core.Topology, op string, faults, src, dst []int, r *batchJSONResp) {
 	t.Helper()
 	var fr *faultroute.Router
 	if op == "faultroute" {
@@ -250,7 +250,7 @@ func checkBatchColumns(t *testing.T, hb *core.HyperButterfly, op string, faults,
 // and requires column-for-column agreement with the JSON answer.
 func TestBatchBinRoundTrip(t *testing.T) {
 	_, ts := newTestServer(t)
-	hb := core.MustNew(2, 3)
+	hb := core.ImplicitOf(core.MustNew(2, 3)) // the backend the pool serves
 	src, dst := batchPairs(hb.Order())
 	faults := []int{5, 17}
 
@@ -454,15 +454,15 @@ func TestBatchEmpty(t *testing.T) {
 // TestBatchImplicitTier routes a batch on dims served by the implicit
 // backend and checks it against label arithmetic.
 func TestBatchImplicitTier(t *testing.T) {
-	s := NewServer(Config{MaxOrder: 64}) // HB(2,3) order 128 -> implicit tier
+	s := NewServer(Config{})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	top, err := s.pool.Get(Dims{M: 2, N: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, dense := top.(*core.HyperButterfly); dense {
-		t.Fatal("expected the implicit tier")
+	if _, ok := top.(*core.Implicit); !ok {
+		t.Fatalf("got %T, want the implicit backend", top)
 	}
 	src, dst := batchPairs(top.Order())
 	resp, body := postBatch(t, ts.URL, ctJSON, jsonBatchBody(t, "route", 2, 3, nil, src, dst))

@@ -64,26 +64,34 @@ func BenchmarkRouteCache(b *testing.B) {
 }
 
 // BenchmarkHandler measures one request through the daemon's root
-// handler with a reusable writer, per serving tier: /route on the
-// dense tier (HB(3,8)) and the implicit tier (HB(10,10)), /faultroute
-// on an unchanged fault set, and a /paths cache hit. /route is
-// uncached, so every iteration runs the kernel and the encoder.
+// handler with a reusable writer, per served dims: /route on HB(3,8)
+// and HB(10,10), /faultroute on an unchanged fault set, a /paths cache
+// hit, and an uncached (CacheSize: -1) case-3 /paths on both dims —
+// the cold answer a cache miss pays, a Menger extraction on a window
+// around the analytic candidates. /route is uncached, so every
+// iteration runs the kernel and the encoder.
 func BenchmarkHandler(b *testing.B) {
-	h := NewServer(Config{}).Handler()
-	for _, bc := range []struct{ name, target string }{
-		{"route/hb3x8", "/route?m=3&n=8&u=5&v=16000"},
-		{"route/hb10x10", "/route?m=10&n=10&u=12345&v=10485000"},
-		{"faultroute/hb3x8", "/faultroute?m=3&n=8&u=5&v=16000&faults=6,700,9000"},
-		{"paths-hit/hb3x8", "/paths?m=3&n=8&u=5&v=16000"},
+	cached := NewServer(Config{}).Handler()
+	uncached := NewServer(Config{CacheSize: -1}).Handler()
+	for _, bc := range []struct {
+		name, target string
+		h            http.Handler
+	}{
+		{"route/hb3x8", "/route?m=3&n=8&u=5&v=16000", cached},
+		{"route/hb10x10", "/route?m=10&n=10&u=12345&v=10485000", cached},
+		{"faultroute/hb3x8", "/faultroute?m=3&n=8&u=5&v=16000&faults=6,700,9000", cached},
+		{"paths-hit/hb3x8", "/paths?m=3&n=8&u=5&v=16000", cached},
+		{"paths-cold/hb3x8", "/paths?m=3&n=8&u=5&v=16000", uncached},
+		{"paths-cold/hb10x10", "/paths?m=10&n=10&u=12345&v=10485000", uncached},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			w := newStubWriter()
 			r := httptest.NewRequest(http.MethodGet, bc.target, nil)
-			serveStub(b, h, w, r) // warms the pool, router and cache
+			serveStub(b, bc.h, w, r) // warms the pool, factor arenas, router and cache
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				serveStub(b, h, w, r)
+				serveStub(b, bc.h, w, r)
 			}
 		})
 	}

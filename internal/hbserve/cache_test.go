@@ -166,11 +166,9 @@ func TestPoolLazyBuildAndEviction(t *testing.T) {
 }
 
 func TestPoolRejectsOversized(t *testing.T) {
-	// ImplicitMaxOrder < 0 disables the implicit tier, restoring the
-	// strict pre-tier rejection semantics.
-	p := &Pool{MaxOrder: 1000, ImplicitMaxOrder: -1}
+	p := &Pool{MaxOrder: 1000}
 	if _, err := p.Get(Dims{M: 3, N: 8}); err == nil {
-		t.Error("accepted an instance over MaxOrder with the implicit tier disabled")
+		t.Error("accepted an instance over MaxOrder")
 	}
 	if _, err := p.Get(Dims{M: -1, N: 3}); err == nil {
 		t.Error("accepted m=-1")
@@ -183,32 +181,29 @@ func TestPoolRejectsOversized(t *testing.T) {
 	}
 }
 
-// TestPoolImplicitTier pins the two-tier order policy: at or below
-// MaxOrder the pool hands out the dense-capable backend, between
-// MaxOrder and ImplicitMaxOrder the label-arithmetic one, and above
-// ImplicitMaxOrder it rejects.
+// TestPoolImplicitTier pins the single-tier order policy: every order
+// up to MaxOrder gets the label-arithmetic backend, and above MaxOrder
+// the pool rejects.
 func TestPoolImplicitTier(t *testing.T) {
-	p := &Pool{MaxOrder: 1000, ImplicitMaxOrder: 20000}
-	small, err := p.Get(Dims{M: 1, N: 3}) // order 48
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := small.(*core.HyperButterfly); !ok {
-		t.Errorf("order 48 got %T, want the dense tier", small)
-	}
-	big, err := p.Get(Dims{M: 3, N: 8}) // order 16384
-	if err != nil {
-		t.Fatal(err)
-	}
-	imp, ok := big.(*core.Implicit)
-	if !ok {
-		t.Fatalf("order 16384 got %T, want the implicit tier", big)
-	}
-	if imp.Order() != 16384 {
-		t.Errorf("implicit instance order %d, want 16384", imp.Order())
+	p := &Pool{MaxOrder: 20000}
+	for _, c := range []struct {
+		d     Dims
+		order int
+	}{{Dims{M: 1, N: 3}, 48}, {Dims{M: 3, N: 8}, 16384}} {
+		top, err := p.Get(c.d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		imp, ok := top.(*core.Implicit)
+		if !ok {
+			t.Fatalf("order %d got %T, want *core.Implicit", c.order, top)
+		}
+		if imp.Order() != c.order {
+			t.Errorf("%v: order %d, want %d", c.d, imp.Order(), c.order)
+		}
 	}
 	if _, err := p.Get(Dims{M: 4, N: 9}); err == nil {
-		t.Error("accepted order 9*2^13 over ImplicitMaxOrder")
+		t.Error("accepted order 9*2^13 over MaxOrder")
 	}
 }
 

@@ -21,14 +21,16 @@
 // /estimate answers sampled diameter/distance questions with explicit
 // confidence statements on instances too large for exact sweeps.
 //
-// Instances are served through the core.Topology interface: small
-// dimensions get the dense-capable backend (verify=1 replays a BFS
-// oracle), while dimensions above the dense cap get the pure
-// label-arithmetic implicit backend, so a cold hbd answers /route,
-// /paths and /faultroute on HB(10,10) (~10.5M nodes) without ever
-// materialising a graph. Verification on the implicit tier is also
-// label-arithmetic: per-hop neighborhood membership plus the analytic
-// distance, and graph.VerifyDisjointPaths for path certificates.
+// Every instance is served by the pure label-arithmetic implicit
+// backend (core.Implicit), so a cold hbd answers /route, /paths and
+// /faultroute on anything from HB(0,3) to HB(10,10) (~10.5M nodes)
+// without materialising the product graph; a case-3 /paths answer runs
+// Menger on a small window around the analytic candidates. verify=1
+// picks its oracle by order: up to denseVerifyMaxOrder it replays a
+// BFS over the lazily built dense adjacency, and above it the check is
+// label-arithmetic too — per-hop neighborhood membership plus the
+// analytic distance, and graph.VerifyDisjointPaths for path
+// certificates.
 package hbserve
 
 import (
@@ -116,14 +118,10 @@ func (ir *instanceRouter) setFaults(faults []int) error {
 
 // Config sizes a Server. Zero values select the defaults.
 type Config struct {
-	PoolMax  int // max resident HB instances (DefaultPoolMax)
-	MaxOrder int // max nodes on the dense tier (DefaultMaxOrder)
-	// ImplicitMaxOrder caps the label-arithmetic tier serving instances
-	// above MaxOrder; 0 means DefaultImplicitMaxOrder, < 0 disables
-	// implicit serving.
-	ImplicitMaxOrder int
-	CacheSize        int // /paths and /batch cache capacity in entries; < 0 disables
-	CacheShard       int // response-cache shard count (DefaultCacheShards)
+	PoolMax    int // max resident HB instances (DefaultPoolMax)
+	MaxOrder   int // max nodes of a served instance (DefaultMaxOrder)
+	CacheSize  int // /paths and /batch cache capacity in entries; < 0 disables
+	CacheShard int // response-cache shard count (DefaultCacheShards)
 	// RequestTimeout bounds each instrumented request: the heavy
 	// handlers answer 503 once it has passed since the request started;
 	// 0 means DefaultRequestTimeout, < 0 disables the deadline.
@@ -171,7 +169,7 @@ func NewServer(cfg Config) *Server {
 		maxInFlight = DefaultMaxInFlight
 	}
 	s := &Server{
-		pool:         &Pool{Max: cfg.PoolMax, MaxOrder: cfg.MaxOrder, ImplicitMaxOrder: cfg.ImplicitMaxOrder},
+		pool:         &Pool{Max: cfg.PoolMax, MaxOrder: cfg.MaxOrder},
 		cache:        NewRouteCache(size, cfg.CacheShard),
 		metrics:      NewMetrics(),
 		mux:          http.NewServeMux(),
@@ -444,7 +442,7 @@ func (s *Server) pair(q query) (top core.Topology, d Dims, u, v int, err error) 
 // denseBackend unwraps a Topology to its dense-capable instance, or nil
 // when none exists. An Implicit shares the underlying instance, so
 // unwrapping it is safe wherever an order cap already bounds the dense
-// work (the /conformance handler).
+// work (/conformance, and verify=1 up to denseVerifyMaxOrder).
 func denseBackend(top core.Topology) *core.HyperButterfly {
 	switch t := top.(type) {
 	case *core.HyperButterfly:
@@ -624,8 +622,7 @@ func (s *Server) handleConformance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The registry needs the dense-capable instance; the order cap above
-	// keeps its materialisation trivial even when d resolved to the
-	// implicit tier under a small configured MaxOrder.
+	// keeps its materialisation trivial.
 	hb := denseBackend(top)
 	if hb == nil {
 		writeErr(w, badRequest("conformance unsupported on backend %T", top))
@@ -676,8 +673,8 @@ type estimateResponse struct {
 
 // handleEstimate answers sampled structural questions — a diameter
 // bracket and the distance distribution with Hoeffding intervals — from
-// the distance oracle alone, so it works unchanged on the implicit tier
-// where exact sweeps are out of reach. Uncached: the seed parameter
+// the distance oracle alone, so it works unchanged on instances where
+// exact sweeps are out of reach. Uncached: the seed parameter
 // makes the response identity high-cardinality and recomputation is
 // only milliseconds.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
@@ -774,12 +771,27 @@ func (s *Server) bfsDist(hb *core.HyperButterfly, u int, read func(dist []int32)
 	return read(hb.Dense().BFSScratch(u, nil, sc))
 }
 
+// denseVerifyMaxOrder is the largest order whose verify=1 requests
+// replay the BFS oracle over the dense adjacency (built lazily, once
+// per instance, on the first such request). Above it the adjacency is
+// the very thing the implicit backend avoids, so verification is
+// label-arithmetic instead.
+const denseVerifyMaxOrder = 1 << 17
+
+// verifyOracle returns the dense instance whose BFS oracle verifies
+// answers on top, or nil when verification is label-arithmetic.
+func verifyOracle(top core.Topology) *core.HyperButterfly {
+	if top.Order() > denseVerifyMaxOrder {
+		return nil
+	}
+	return denseBackend(top)
+}
+
 // verifyRoute independently checks a /route answer: the path must run
 // u -> v over real edges and its length must equal the shortest-path
-// distance (Theorem 3 routes are optimal). On the dense tier the oracle
-// is a pooled-scratch BFS over the materialised adjacency; on the
-// implicit tier — where building that adjacency is the very thing the
-// backend avoids — every hop is checked against the label-computed
+// distance (Theorem 3 routes are optimal). Up to denseVerifyMaxOrder
+// the oracle is a pooled-scratch BFS over the materialised adjacency;
+// above it every hop is checked against the label-computed
 // neighborhood of its predecessor and the length against the analytic
 // distance, which the implicit differential gate holds to BFS equality
 // on every conformance instance.
@@ -787,8 +799,8 @@ func (s *Server) verifyRoute(top core.Topology, u, v int, path []int) error {
 	if len(path) == 0 || path[0] != u || path[len(path)-1] != v {
 		return fmt.Errorf("route verification failed: path endpoints %v, want %d -> %d", path, u, v)
 	}
-	hb, denseTier := top.(*core.HyperButterfly)
-	if !denseTier {
+	hb := verifyOracle(top)
+	if hb == nil {
 		var buf []int
 		for i := 1; i < len(path); i++ {
 			var ok bool
@@ -829,42 +841,32 @@ func implicitHasEdge(top core.Topology, u, w int, buf []int) ([]int, bool) {
 }
 
 // verifyPaths independently checks a /paths answer: every path must run
-// u -> v over real edges, the set must be internally vertex-disjoint,
-// and no path may be shorter than the shortest-path distance. The dense
-// tier uses the BFS oracle; the implicit tier certifies the set with
-// graph.VerifyDisjointPaths (every Topology is a graph.Graph) against
-// the analytic distance.
+// u -> v over real edges, the set must be internally vertex-disjoint
+// (graph.VerifyDisjointPaths), and no path may be shorter than the
+// shortest-path distance. Up to denseVerifyMaxOrder the edges come from
+// the dense adjacency and the distance from the BFS oracle; above it
+// both come from label arithmetic (every Topology is a graph.Graph).
 func (s *Server) verifyPaths(top core.Topology, u, v int, paths [][]int) error {
-	hb, denseTier := top.(*core.HyperButterfly)
-	if !denseTier {
-		if err := graph.VerifyDisjointPaths(top, u, v, paths); err != nil {
-			return fmt.Errorf("paths verification failed: %v", err)
-		}
-		minLen := top.Distance(u, v)
+	hb := verifyOracle(top)
+	var g graph.Graph = top
+	if hb != nil {
+		g = hb.Dense()
+	}
+	if err := graph.VerifyDisjointPaths(g, u, v, paths); err != nil {
+		return fmt.Errorf("paths verification failed: %v", err)
+	}
+	checkLen := func(dist int, oracle string) error {
 		for pi, p := range paths {
-			if len(p)-1 < minLen {
-				return fmt.Errorf("paths verification failed: path %d length %d below distance %d", pi, len(p)-1, minLen)
+			if len(p)-1 < dist {
+				return fmt.Errorf("paths verification failed: path %d length %d below %s %d", pi, len(p)-1, oracle, dist)
 			}
 		}
 		return nil
 	}
-	dense := hb.Dense()
-	return s.bfsDist(hb, u, func(dist []int32) error {
-		for pi, p := range paths {
-			if len(p) == 0 || p[0] != u || p[len(p)-1] != v {
-				return fmt.Errorf("paths verification failed: path %d endpoints %v, want %d -> %d", pi, p, u, v)
-			}
-			for i := 1; i < len(p); i++ {
-				if !dense.HasEdge(p[i-1], p[i]) {
-					return fmt.Errorf("paths verification failed: path %d uses non-edge %d-%d", pi, p[i-1], p[i])
-				}
-			}
-			if len(p)-1 < int(dist[v]) {
-				return fmt.Errorf("paths verification failed: path %d length %d below BFS distance %d", pi, len(p)-1, dist[v])
-			}
-		}
-		return nil
-	})
+	if hb == nil {
+		return checkLen(top.Distance(u, v), "distance")
+	}
+	return s.bfsDist(hb, u, func(dist []int32) error { return checkLen(int(dist[v]), "BFS distance") })
 }
 
 // marshalBody renders a response exactly as json.Encoder does (trailing
