@@ -22,11 +22,11 @@
 //	/metrics                       Prometheus text exposition
 //	/healthz                       liveness
 //
-// Responses are byte-identical for identical queries; /paths and small
-// /batch bodies are cached. SIGINT/SIGTERM drain in-flight requests before
-// exit. Every request runs under a deadline (-timeout), overload sheds
-// with 503 + Retry-After (-maxinflight), and handler panics answer 500
-// and increment hbd_panics_total instead of killing the daemon.
+// Responses are byte-identical for identical queries; /paths bodies are
+// cached. SIGINT/SIGTERM drain in-flight requests before exit. Every
+// request runs under a deadline (-timeout), overload sheds with 503 +
+// Retry-After (-maxinflight), and handler panics answer 500 and
+// increment hbd_panics_total instead of killing the daemon.
 //
 // Every instance up to -maxorder nodes is served by the label-arithmetic
 // implicit engine, so a query against HB(10,10) (~10.5M nodes) answers
@@ -56,8 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	mode := fs.String("mode", "serve", "serve | load | router | clusterload")
 	addr := fs.String("addr", ":8080", "serve: listen address")
 	poolMax := fs.Int("pool", 0, "serve: max resident HB instances (0 = default)")
-	cacheSize := fs.Int("cache", 0, "serve: /paths and /batch response-cache entries (0 = default, -1 disables)")
-	shards := fs.Int("shards", 0, "serve: response-cache shards (0 = default)")
+	cacheSize := fs.Int("cache", 0, "serve: /paths response-cache entries (0 = default, -1 disables)")
 	maxOrder := fs.Int("maxorder", 0, "serve: max nodes of a served instance; larger dims are rejected (0 = default 2^24)")
 	grace := fs.Duration("grace", 10*time.Second, "serve: shutdown drain budget")
 	timeout := fs.Duration("timeout", 0, "serve: per-request deadline (0 = default, negative disables)")
@@ -102,7 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			PoolMax:        *poolMax,
 			MaxOrder:       *maxOrder,
 			CacheSize:      *cacheSize,
-			CacheShard:     *shards,
 			RequestTimeout: *timeout,
 			MaxInFlight:    *maxInFlight,
 			BatchWorkers:   *batchWorkers,
@@ -287,7 +285,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 }
 
-// firstOr returns the first element of a flag list, or def if empty.
 func boolToInt(b bool) int {
 	if b {
 		return 1
@@ -295,6 +292,7 @@ func boolToInt(b bool) int {
 	return 0
 }
 
+// firstOr returns the first element of a flag list, or def if empty.
 func firstOr(list []string, def string) string {
 	if len(list) > 0 {
 		return list[0]

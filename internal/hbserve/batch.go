@@ -1,7 +1,6 @@
 package hbserve
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,7 +20,7 @@ import (
 //   - application/json — columns as JSON arrays
 //     ({"m":2,"n":3,"op":"route","src":[...],"dst":[...]});
 //   - application/x-hbbatch — length-prefixed little-endian binary
-//     frames (see README "Batch serving & snapshots" for the layout).
+//     frames, encoded and decoded for every hop in wire.go.
 //
 // Four ops share the request shape: dist and route run on the
 // zero-alloc core.RouteBatch kernel, paths bundles Theorem 5 disjoint
@@ -32,46 +31,15 @@ import (
 // encoders serialise it without reshaping.
 
 const (
-	// batchBinMagic opens every binary frame stream ("HBB1" on the wire).
-	batchBinMagic uint32 = 0x31424248
-	// batchBinVersion is the framing version; both sides reject others.
-	batchBinVersion uint16 = 1
 	// maxBatchPairs bounds one request; beyond it the client should
 	// split the batch (the response would exceed sane body sizes).
 	maxBatchPairs = 1 << 16
 	// maxBatchBody bounds the request body read.
 	maxBatchBody = 16 << 20
-	// batchCacheMaxPairs bounds which batches enter the response cache:
-	// small batches (conformance probes, repeated UI queries) hit; load
-	// test batches of ~1k pairs bypass so the cache is not churned by
-	// high-cardinality bodies.
-	batchCacheMaxPairs = 256
 
 	ctJSON     = "application/json"
 	ctBatchBin = "application/x-hbbatch"
 )
-
-// Binary op codes (wire values, stable).
-const (
-	batchOpDist       uint8 = 0
-	batchOpRoute      uint8 = 1
-	batchOpPaths      uint8 = 2
-	batchOpFaultRoute uint8 = 3
-)
-
-var batchOpNames = map[uint8]string{
-	batchOpDist:       "dist",
-	batchOpRoute:      "route",
-	batchOpPaths:      "paths",
-	batchOpFaultRoute: "faultroute",
-}
-
-var batchOpCodes = map[string]uint8{
-	"dist":       batchOpDist,
-	"route":      batchOpRoute,
-	"paths":      batchOpPaths,
-	"faultroute": batchOpFaultRoute,
-}
 
 // batchRequest is one decoded /batch request, codec-independent.
 type batchRequest struct {
@@ -128,24 +96,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	compute := func() ([]byte, error) { return s.computeBatch(top, d, req) }
-	var (
-		body  []byte
-		cache = "bypass"
-	)
-	if req.cacheable() {
-		var hit bool
-		body, hit, err = s.cache.GetOrCompute(req.cacheKey(), compute)
-		cache = cacheState(hit)
-	} else {
-		body, err = compute()
-	}
+	body, err := s.computeBatch(top, d, req)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
 	s.metrics.BatchObserve(req.codec, batchOpNames[req.op], len(req.src), time.Since(start))
-	writeBody(w, req.contentType(), cache, body)
+	writeBody(w, req.contentType(), "", body)
 }
 
 func (r *batchRequest) contentType() string {
@@ -155,71 +112,24 @@ func (r *batchRequest) contentType() string {
 	return ctJSON
 }
 
-// cacheable: fault sets are high-cardinality (same policy as
-// /faultroute) and big batches would churn the LRU for little reuse.
-func (r *batchRequest) cacheable() bool {
-	return r.op != batchOpFaultRoute && len(r.src) <= batchCacheMaxPairs
-}
-
-// cacheKey is the full request identity: codec (bodies differ per
-// codec), op, dims, and the raw pair columns — no hashing, so distinct
-// batches can never alias.
-func (r *batchRequest) cacheKey() string {
-	key := make([]byte, 0, 32+8*len(r.src))
-	key = append(key, "batch|"...)
-	key = append(key, r.codec...)
-	key = append(key, '|')
-	key = append(key, batchOpNames[r.op]...)
-	key = strconv.AppendInt(append(key, '|'), int64(r.m), 10)
-	key = strconv.AppendInt(append(key, '|'), int64(r.n), 10)
-	key = append(key, '|')
-	for i := range r.src {
-		key = binary.LittleEndian.AppendUint32(key, uint32(r.src[i]))
-		key = binary.LittleEndian.AppendUint32(key, uint32(r.dst[i]))
-	}
-	return string(key)
-}
-
-// EncodeBatchJSONRequest renders a /batch request body in the JSON
-// codec (the load generator prebuilds its bodies with it).
-func EncodeBatchJSONRequest(op string, m, n int, src, dst []int) []byte {
-	out := make([]byte, 0, 48+12*(len(src)+len(dst)))
+// appendBatchJSONHead opens a JSON /batch body: {"m":..,"n":..,"op":"..".
+func appendBatchJSONHead(out []byte, m, n int, op string) []byte {
 	out = append(out, `{"m":`...)
 	out = strconv.AppendInt(out, int64(m), 10)
 	out = append(out, `,"n":`...)
 	out = strconv.AppendInt(out, int64(n), 10)
 	out = append(out, `,"op":"`...)
 	out = append(out, op...)
-	out = append(out, '"')
+	return append(out, '"')
+}
+
+// EncodeBatchJSONRequest renders a /batch request body in the JSON
+// codec (the load generator prebuilds its bodies with it).
+func EncodeBatchJSONRequest(op string, m, n int, src, dst []int) []byte {
+	out := appendBatchJSONHead(make([]byte, 0, 48+12*(len(src)+len(dst))), m, n, op)
 	out = appendJSONInts(out, "src", src)
 	out = appendJSONInts(out, "dst", dst)
 	return append(out, '}')
-}
-
-// EncodeBatchBinRequest renders a /batch request body in the binary
-// codec: header frame, then faults, src and dst column frames.
-func EncodeBatchBinRequest(op string, m, n int, faults, src, dst []int) ([]byte, error) {
-	code, ok := batchOpCodes[op]
-	if !ok {
-		return nil, fmt.Errorf("hbserve: unknown batch op %q", op)
-	}
-	le := binary.LittleEndian
-	out := make([]byte, 0, 4+24+12+4*(len(faults)+len(src)+len(dst)))
-	out = le.AppendUint32(out, 24)
-	out = le.AppendUint32(out, batchBinMagic)
-	out = le.AppendUint16(out, batchBinVersion)
-	out = append(out, code, 0)
-	out = le.AppendUint32(out, uint32(m))
-	out = le.AppendUint32(out, uint32(n))
-	out = le.AppendUint32(out, uint32(len(src)))
-	out = le.AppendUint32(out, uint32(len(faults)))
-	for _, col := range [][]int{faults, src, dst} {
-		out = le.AppendUint32(out, uint32(4*len(col)))
-		for _, v := range col {
-			out = le.AppendUint32(out, uint32(v))
-		}
-	}
-	return out, nil
 }
 
 // request decoding ---------------------------------------------------
@@ -289,79 +199,6 @@ func parseBatchJSON(body []byte) (*batchRequest, error) {
 	}
 	req.op = op
 	return req, nil
-}
-
-// nextFrame pops one length-prefixed frame.
-func nextFrame(data []byte) (payload, rest []byte, err error) {
-	if len(data) < 4 {
-		return nil, nil, fmt.Errorf("truncated frame: %d bytes left, need a 4-byte length", len(data))
-	}
-	n := binary.LittleEndian.Uint32(data)
-	if uint64(n) > uint64(len(data)-4) {
-		return nil, nil, fmt.Errorf("frame length %d exceeds remaining %d bytes", n, len(data)-4)
-	}
-	return data[4 : 4+n], data[4+n:], nil
-}
-
-// parseBatchBin decodes the binary framing: header, faults, src, dst.
-func parseBatchBin(body []byte) (*batchRequest, error) {
-	le := binary.LittleEndian
-	hdr, rest, err := nextFrame(body)
-	if err != nil {
-		return nil, badRequest("bad binary batch: %v", err)
-	}
-	if len(hdr) != 24 {
-		return nil, badRequest("bad binary batch: header frame is %d bytes, want 24", len(hdr))
-	}
-	if m := le.Uint32(hdr); m != batchBinMagic {
-		return nil, badRequest("bad binary batch: magic %#x, want %#x", m, batchBinMagic)
-	}
-	if v := le.Uint16(hdr[4:]); v != batchBinVersion {
-		return nil, badRequest("bad binary batch: version %d, want %d", v, batchBinVersion)
-	}
-	op := hdr[6]
-	if _, ok := batchOpNames[op]; !ok {
-		return nil, badRequest("bad binary batch: unknown op code %d", op)
-	}
-	req := &batchRequest{
-		codec: "bin",
-		op:    op,
-		m:     int(le.Uint32(hdr[8:])),
-		n:     int(le.Uint32(hdr[12:])),
-	}
-	npairs := int(le.Uint32(hdr[16:]))
-	nfaults := int(le.Uint32(hdr[20:]))
-	if npairs > maxBatchPairs {
-		return nil, badRequest("%d pairs over the per-request cap %d", npairs, maxBatchPairs)
-	}
-	if req.faults, rest, err = readU32Column(rest, nfaults, "faults"); err != nil {
-		return nil, err
-	}
-	if req.src, rest, err = readU32Column(rest, npairs, "src"); err != nil {
-		return nil, err
-	}
-	if req.dst, rest, err = readU32Column(rest, npairs, "dst"); err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, badRequest("bad binary batch: %d trailing bytes after dst frame", len(rest))
-	}
-	return req, nil
-}
-
-func readU32Column(data []byte, want int, name string) (vals []int, rest []byte, err error) {
-	payload, rest, err := nextFrame(data)
-	if err != nil {
-		return nil, nil, badRequest("bad binary batch: %s frame: %v", name, err)
-	}
-	if len(payload) != 4*want {
-		return nil, nil, badRequest("bad binary batch: %s frame is %d bytes, header promised %d values", name, len(payload), want)
-	}
-	vals = make([]int, want)
-	for i := range vals {
-		vals[i] = int(binary.LittleEndian.Uint32(payload[4*i:]))
-	}
-	return vals, rest, nil
 }
 
 // computation --------------------------------------------------------
@@ -489,128 +326,27 @@ func pathsBatch(top core.Topology, req *batchRequest, sc *batchScratch) {
 // pre-sized buffer): at thousands of pairs per request, reflective
 // json.Marshal of the arrays would dominate the batch compute.
 func encodeBatchJSON(c *batchColumns) []byte {
-	out := make([]byte, 0, 64+12*len(c.status)*3+12*len(c.nodes))
-	out = append(out, `{"m":`...)
-	out = strconv.AppendInt(out, int64(c.m), 10)
-	out = append(out, `,"n":`...)
-	out = strconv.AppendInt(out, int64(c.n), 10)
-	out = append(out, `,"op":"`...)
-	out = append(out, batchOpNames[c.op]...)
-	out = append(out, `","count":`...)
+	out := appendBatchJSONHead(make([]byte, 0, 64+12*len(c.status)*3+12*len(c.nodes)), c.m, c.n, batchOpNames[c.op])
+	out = append(out, `,"count":`...)
 	out = strconv.AppendInt(out, int64(len(c.status)), 10)
 	if c.op == batchOpFaultRoute {
 		out = appendJSONInts(out, "faults", c.faults)
 	}
-	out = appendJSONBytes(out, "status", c.status)
+	out = appendJSONInts(out, "status", c.status)
 	switch c.op {
 	case batchOpDist:
-		out = appendJSONInt32s(out, "dist", c.dist)
+		out = appendJSONInts(out, "dist", c.dist)
 	case batchOpRoute:
-		out = appendJSONInt32s(out, "dist", c.dist)
-		out = appendJSONInt32s(out, "off", c.off)
+		out = appendJSONInts(out, "dist", c.dist)
+		out = appendJSONInts(out, "off", c.off)
 		out = appendJSONInts(out, "nodes", c.nodes)
 	case batchOpFaultRoute:
-		out = appendJSONInt32s(out, "off", c.off)
+		out = appendJSONInts(out, "off", c.off)
 		out = appendJSONInts(out, "nodes", c.nodes)
 	case batchOpPaths:
-		out = appendJSONInt32s(out, "pair_off", c.off)
-		out = appendJSONInt32s(out, "path_off", c.poff)
+		out = appendJSONInts(out, "pair_off", c.off)
+		out = appendJSONInts(out, "path_off", c.poff)
 		out = appendJSONInts(out, "nodes", c.nodes)
 	}
 	return append(out, "}\n"...)
-}
-
-func appendJSONBytes(out []byte, name string, vals []uint8) []byte {
-	out = appendJSONName(out, name)
-	for i, v := range vals {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		out = strconv.AppendInt(out, int64(v), 10)
-	}
-	return append(out, ']')
-}
-
-func appendJSONInt32s(out []byte, name string, vals []int32) []byte {
-	out = appendJSONName(out, name)
-	for i, v := range vals {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		out = strconv.AppendInt(out, int64(v), 10)
-	}
-	return append(out, ']')
-}
-
-func appendJSONInts(out []byte, name string, vals []int) []byte {
-	out = append(out, ',', '"')
-	out = append(out, name...)
-	return appendIntArray(append(out, '"', ':'), vals)
-}
-
-func appendJSONName(out []byte, name string) []byte {
-	out = append(out, ',', '"')
-	out = append(out, name...)
-	return append(out, '"', ':', '[')
-}
-
-// encodeBatchBin renders the response framing: a header frame (magic,
-// version, op, pair count, total path count) followed by one frame per
-// column in the README-documented order.
-func encodeBatchBin(c *batchColumns) []byte {
-	le := binary.LittleEndian
-	npairs := len(c.status)
-	totalPaths := 0
-	if c.op == batchOpPaths {
-		totalPaths = len(c.poff) - 1
-	}
-	size := 4 + 16 + (4 + npairs) + (4 + 4*len(c.dist)) + (4 + 4*len(c.off)) + (4 + 4*len(c.poff)) + (4 + 4*len(c.nodes))
-	out := make([]byte, 0, size)
-
-	out = le.AppendUint32(out, 16) // header frame
-	out = le.AppendUint32(out, batchBinMagic)
-	out = le.AppendUint16(out, batchBinVersion)
-	out = append(out, c.op, 0)
-	out = le.AppendUint32(out, uint32(npairs))
-	out = le.AppendUint32(out, uint32(totalPaths))
-
-	out = le.AppendUint32(out, uint32(npairs)) // status frame
-	out = append(out, c.status...)
-
-	if c.op == batchOpDist || c.op == batchOpRoute {
-		out = appendBinInt32Frame(out, c.dist)
-	}
-	switch c.op {
-	case batchOpRoute, batchOpFaultRoute:
-		out = appendBinInt32Frame(out, c.off)
-		out = appendBinIntFrame(out, c.nodes)
-	case batchOpPaths:
-		out = appendBinInt32Frame(out, c.off)
-		out = appendBinInt32Frame(out, c.poff)
-		out = appendBinIntFrame(out, c.nodes)
-	}
-	return out
-}
-
-func appendBinInt32Frame(out []byte, vals []int32) []byte {
-	out = binary.LittleEndian.AppendUint32(out, uint32(4*len(vals)))
-	for _, v := range vals {
-		out = binary.LittleEndian.AppendUint32(out, uint32(v))
-	}
-	return out
-}
-
-func appendBinIntFrame(out []byte, vals []int) []byte {
-	out = binary.LittleEndian.AppendUint32(out, uint32(4*len(vals)))
-	for _, v := range vals {
-		out = binary.LittleEndian.AppendUint32(out, uint32(v))
-	}
-	return out
-}
-
-func cacheState(hit bool) string {
-	if hit {
-		return "hit"
-	}
-	return "miss"
 }

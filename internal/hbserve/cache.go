@@ -165,3 +165,11 @@ func fnv1aBytes(b []byte) uint64 {
 	}
 	return h
 }
+
+// cacheState is the X-Cache value of a cached answer.
+func cacheState(hit bool) string {
+	if hit {
+		return "hit"
+	}
+	return "miss"
+}

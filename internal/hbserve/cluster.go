@@ -3,7 +3,6 @@ package hbserve
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -388,12 +387,11 @@ func (rt *Router) requestKey(r *http.Request) uint64 {
 // 400 at the router instead of forwarding garbage into the fleet.
 func peekBatchDims(ct string, body []byte) (m, n int, ok bool) {
 	if strings.HasPrefix(ct, ctBatchBin) {
-		// Header frame: u32 len | "HBB1" | u16 version | u16 op | u32 m | u32 n | ...
-		if len(body) < 20 || string(body[4:8]) != "HBB1" {
+		var dims [2]uint32
+		if !peekHeader(body, dims[:]) {
 			return 0, 0, false
 		}
-		return int(binary.LittleEndian.Uint32(body[12:16])),
-			int(binary.LittleEndian.Uint32(body[16:20])), true
+		return int(dims[0]), int(dims[1]), true
 	}
 	var hdr struct {
 		M *int `json:"m"`

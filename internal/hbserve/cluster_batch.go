@@ -2,7 +2,6 @@ package hbserve
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -112,7 +111,6 @@ func (rt *Router) scatterBatch(w http.ResponseWriter, r *http.Request, req *batc
 	}
 
 	// Build one sub-batch per chosen replica.
-	opName := batchOpNames[req.op]
 	subs := make([]*subBatch, 0, n)
 	subOf := make([]*subBatch, n)
 	for rep := 0; rep < n; rep++ {
@@ -134,11 +132,7 @@ func (rt *Router) scatterBatch(w http.ResponseWriter, r *http.Request, req *batc
 				dst = append(dst, req.dst[i])
 			}
 		}
-		var err error
-		if sb.body, err = EncodeBatchBinRequest(opName, req.m, req.n, req.faults, src[from:], dst[from:]); err != nil {
-			writeErr(w, err)
-			return
-		}
+		sb.body = encodeBatchBinRequest(req.op, req.m, req.n, req.faults, src[from:], dst[from:])
 	}
 
 	// Fan out concurrently; gather everything before answering.
@@ -267,100 +261,9 @@ func (rt *Router) postSubBatch(r *http.Request, i int, op uint8, pairs int, body
 	if rerr != nil {
 		// A 2xx the router cannot decode is a corrupt replica; retrying
 		// elsewhere is safe and the failure feeds ejection.
-		return nil, fmt.Errorf("replica %s: %v", rt.replicas[i], rerr), true
+		return nil, fmt.Errorf("replica %s: bad batch response: %v", rt.replicas[i], rerr), true
 	}
 	return cols, nil, false
-}
-
-// decodeBatchBinResponse parses a binary /batch response back into
-// columns. The input buffer is pooled, so every column is copied out.
-func decodeBatchBinResponse(body []byte, op uint8, pairs int) (*batchColumns, error) {
-	le := binary.LittleEndian
-	hdr, rest, err := nextFrame(body)
-	if err != nil {
-		return nil, fmt.Errorf("bad batch response: %v", err)
-	}
-	if len(hdr) != 16 {
-		return nil, fmt.Errorf("bad batch response: header frame is %d bytes, want 16", len(hdr))
-	}
-	if m := le.Uint32(hdr); m != batchBinMagic {
-		return nil, fmt.Errorf("bad batch response: magic %#x", m)
-	}
-	if v := le.Uint16(hdr[4:]); v != batchBinVersion {
-		return nil, fmt.Errorf("bad batch response: version %d", v)
-	}
-	if hdr[6] != op {
-		return nil, fmt.Errorf("bad batch response: op %d, want %d", hdr[6], op)
-	}
-	if got := int(le.Uint32(hdr[8:])); got != pairs {
-		return nil, fmt.Errorf("bad batch response: %d pairs answered, sent %d", got, pairs)
-	}
-	totalPaths := int(le.Uint32(hdr[12:]))
-
-	cols := &batchColumns{op: op}
-	st, rest, err := nextFrame(rest)
-	if err != nil || len(st) != pairs {
-		return nil, fmt.Errorf("bad batch response: status frame (%d bytes, err %v)", len(st), err)
-	}
-	cols.status = append([]uint8(nil), st...)
-	if op == batchOpDist || op == batchOpRoute {
-		if cols.dist, rest, err = readInt32Frame(rest, pairs, "dist"); err != nil {
-			return nil, err
-		}
-	}
-	switch op {
-	case batchOpRoute, batchOpFaultRoute:
-		if cols.off, rest, err = readInt32Frame(rest, pairs+1, "off"); err != nil {
-			return nil, err
-		}
-		if cols.nodes, rest, err = readIntFrame(rest, int(cols.off[pairs]), "nodes"); err != nil {
-			return nil, err
-		}
-	case batchOpPaths:
-		if cols.off, rest, err = readInt32Frame(rest, pairs+1, "pair_off"); err != nil {
-			return nil, err
-		}
-		if cols.poff, rest, err = readInt32Frame(rest, totalPaths+1, "path_off"); err != nil {
-			return nil, err
-		}
-		if cols.nodes, rest, err = readIntFrame(rest, int(cols.poff[totalPaths]), "nodes"); err != nil {
-			return nil, err
-		}
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("bad batch response: %d trailing bytes", len(rest))
-	}
-	return cols, nil
-}
-
-func readInt32Frame(data []byte, want int, name string) (vals []int32, rest []byte, err error) {
-	payload, rest, err := nextFrame(data)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bad batch response: %s frame: %v", name, err)
-	}
-	if len(payload) != 4*want {
-		return nil, nil, fmt.Errorf("bad batch response: %s frame is %d bytes, want %d values", name, len(payload), want)
-	}
-	vals = make([]int32, want)
-	for i := range vals {
-		vals[i] = int32(binary.LittleEndian.Uint32(payload[4*i:]))
-	}
-	return vals, rest, nil
-}
-
-func readIntFrame(data []byte, want int, name string) (vals []int, rest []byte, err error) {
-	payload, rest, err := nextFrame(data)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bad batch response: %s frame: %v", name, err)
-	}
-	if want < 0 || len(payload) != 4*want {
-		return nil, nil, fmt.Errorf("bad batch response: %s frame is %d bytes, want %d values", name, len(payload), want)
-	}
-	vals = make([]int, want)
-	for i := range vals {
-		vals[i] = int(int32(binary.LittleEndian.Uint32(payload[4*i:])))
-	}
-	return vals, rest, nil
 }
 
 // mergeSubBatches reassembles the sub-responses into one column set in

@@ -2,7 +2,11 @@ package hbserve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -436,5 +440,153 @@ func TestSingleQueryAllocs(t *testing.T) {
 	serveStub(t, h, w, r)
 	if n := testing.AllocsPerRun(200, func() { serveStub(t, h, w, r) }); n > faultRouteAllocsBefore {
 		t.Errorf("/faultroute on an unchanged fault set allocates %v objects, want <= %d", n, faultRouteAllocsBefore)
+	}
+}
+
+// batchGoldenDigests pins every /batch answer of TestBatchGolden: one
+// SHA-256 per dims and op over the status, Content-Type and body of
+// the JSON then the binary answer, which the daemon and the router
+// must both produce, and one per path over the malformed bodies. They
+// were recorded before the binary codec moved into wire.go and the
+// /batch response cache was removed.
+var batchGoldenDigests = map[string]string{
+	"2x3/dist":         "4895ea43ca0cc8165ee7f33005c46e7faa5582580296dd0cf3bfa5697f550123",
+	"2x3/route":        "cceae99d820c340cac769256df211ca99b6aff8c09408d92bba63965f57b37c7",
+	"2x3/paths":        "706534be79553431e1072f40a882fc339c3b1ca4e2772e129b1a2ffec9b1742d",
+	"2x3/faultroute":   "6efbfc0eb1af3fe3beffc045a9e47e6fccf5e90ea442c8c8ad8ceddedd701a28",
+	"3x8/dist":         "0c33d581bf792a16d12d0b66b6c4e05d9a81c5e8fa7e49f5fb46ad873726439e",
+	"3x8/route":        "a1e55fd4e9ffe6e0cd7fa85052e18c32db88dbce04352eb4e07d4ebce36874d6",
+	"3x8/paths":        "219919d2a3df78bc900a2ba4cbdc8fb5a3e5d0cab5be8ba9678ed5bfe6a6032e",
+	"3x8/faultroute":   "218c0f6251b6c850bf4223df9344d4bd6233e17527e7dc5cc4df686edd8054a4",
+	"10x10/dist":       "0e10746ef58ee7b692febf53da3b582a15d32d5af3278f5db2ede3bcb0e251bb",
+	"10x10/route":      "945f6c73842d20ca85d3e36ee0725c494c539b8df83c5f67cf31d6922e91d4e9",
+	"10x10/paths":      "ac5c83ad279564f4602a4f312cca8dd3ff956a40295c74183cb0246670721daa",
+	"10x10/faultroute": "ebd14ba3968dfcc1682151d383bc3e429ab60845256ac1a6798c3a39d379637c",
+	"direct/malformed": "f60428e6946f37bddfa2a7d3e3734d9d76406ecb2b22d250bf1c94686b3435f8",
+	"router/malformed": "2487b6b05d85eed4476753ccebd6646ea4c4205c576eb2ca9bf0e1f7befb94b1",
+}
+
+// batchGoldenMalformed is the malformed-body sweep: every case of
+// TestBatchMalformed and TestRouterBatchMalformed400, plus a binary
+// fault of 0xFFFFFFFF, whose error text shows the fault column is read
+// as unsigned.
+func batchGoldenMalformed(t testing.TB) [][2]string {
+	good := binBatchBody(batchOpRoute, 2, 3, nil, []int{0, 1}, []int{5, 9})
+	patch := func(at int, put func(b []byte)) string {
+		b := append([]byte(nil), good...)
+		put(b[at:])
+		return string(b)
+	}
+	bin, err := EncodeBatchBinRequest("route", 2, 3, nil, []int{0, 1}, []int{5, 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return [][2]string{
+		{ctJSON, `{"src": [1,`},
+		{ctJSON, `{"op":"teleport","src":[1],"dst":[2]}`},
+		{ctJSON, `{"src":[1,2],"dst":[3]}`},
+		{ctJSON, `{"op":"route","faults":[1],"src":[1],"dst":[2]}`},
+		{ctJSON, `{"op":"faultroute","faults":[99999],"src":[1],"dst":[2]}`},
+		{ctJSON, `{"m":-3,"n":1,"src":[1],"dst":[2]}`},
+		{"text/csv", "1,2"},
+		{ctBatchBin, ""},
+		{ctBatchBin, string(good[:10])},
+		{ctBatchBin, patch(4, func(b []byte) { binary.LittleEndian.PutUint32(b, 0xDEADBEEF) })},
+		{ctBatchBin, patch(8, func(b []byte) { binary.LittleEndian.PutUint16(b, batchBinVersion+7) })},
+		{ctBatchBin, patch(10, func(b []byte) { b[0] = 42 })},
+		{ctBatchBin, string(good[:len(good)-3])},
+		{ctBatchBin, string(good) + "\xff"},
+		{ctBatchBin, patch(20, func(b []byte) { binary.LittleEndian.PutUint32(b, 3) })},
+		{ctBatchBin, string(binBatchBody(batchOpFaultRoute, 2, 3, []int{0xFFFFFFFF}, []int{0, 1}, []int{5, 9}))},
+		{ctBatchBin, string(bin[:12])},
+		{ctBatchBin, "HBB1"},
+		{ctJSON, `{"n":3,"op":"route","src":[0],"dst":[9]}`},
+		{ctJSON, `{"m":2,"op":"route","src":[0],"dst":[9]}`},
+		{ctJSON, `{"m":-2,"n":3,"op":"route","src":[0],"dst":[9]}`},
+		{ctJSON, `{"m":2,"n":-3,"op":"route","src":[0],"dst":[9]}`},
+		{"application/octet-stream", string(bin)},
+		{ctJSON, `{"m":2,"n":3,`},
+	}
+}
+
+// TestBatchGolden sweeps dims × op × codec over /batch, each body sent
+// straight to a daemon and scattered by a router over 3 replicas, and
+// requires every status, Content-Type and body to hash to its pinned
+// digest. Malformed bodies hold at most 2 pairs, below the router's
+// scatter threshold, so their error bodies come from one replica and
+// carry no replica address.
+func TestBatchGolden(t *testing.T) {
+	_, direct := newTestServer(t)
+	fleet := newTestFleet(t, 3)
+	_, router := newTestRouter(t, ClusterConfig{Replicas: fleet.URLs(), ScatterMinPairs: 3})
+	paths := []struct{ name, url string }{{"direct", direct.URL}, {"router", router.URL}}
+
+	hashPost := func(h hash.Hash, base, ct string, body []byte) *http.Response {
+		t.Helper()
+		resp, err := http.Post(base+"/batch", ct, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%d\n%s\n%d\n", resp.StatusCode, resp.Header.Get("Content-Type"), len(raw))
+		h.Write(raw)
+		return resp
+	}
+	check := func(path, key string, h hash.Hash) {
+		t.Helper()
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != batchGoldenDigests[key] {
+			t.Errorf("%s: digest mismatch:\n\t%q: %q,", path, key, got)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(14))
+	for _, tc := range []struct {
+		d      Dims
+		pairs  int
+		faults []int
+	}{
+		{Dims{2, 3}, 40, []int{5, 17}},
+		{Dims{3, 8}, 24, []int{6, 700, 9000}},
+		{Dims{10, 10}, 8, []int{12345, 999, 10485000}},
+	} {
+		order := core.ImplicitOf(core.MustNew(tc.d.M, tc.d.N)).Order()
+		var src, dst []int
+		for i := 0; i < tc.pairs; i++ {
+			src = append(src, rng.Intn(order))
+			dst = append(dst, rng.Intn(order))
+		}
+		src = append(src, 3, order+5, tc.faults[0])
+		dst = append(dst, 3, 0, 1) // equal pair, bad src, faulty src
+		for _, op := range []string{"dist", "route", "paths", "faultroute"} {
+			var faults []int
+			if op == "faultroute" {
+				faults = tc.faults
+			}
+			for _, p := range paths {
+				h := sha256.New()
+				for _, codec := range []string{"json", "bin"} {
+					ct, body := scatterBody(t, op, codec, tc.d.M, tc.d.N, faults, src, dst)
+					resp := hashPost(h, p.url, ct, body)
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("%s %v %s/%s: status %d", p.name, tc.d, op, codec, resp.StatusCode)
+					}
+					if p.name == "router" && resp.Header.Get("X-Scatter") == "" {
+						t.Fatalf("router %v %s/%s: batch was not scattered", tc.d, op, codec)
+					}
+				}
+				check(p.name, fmt.Sprintf("%dx%d/%s", tc.d.M, tc.d.N, op), h)
+			}
+		}
+	}
+	for _, p := range paths {
+		h := sha256.New()
+		for _, c := range batchGoldenMalformed(t) {
+			hashPost(h, p.url, c[0], []byte(c[1]))
+		}
+		check(p.name, p.name+"/malformed", h)
 	}
 }

@@ -2,7 +2,6 @@ package hbserve
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -85,8 +84,8 @@ type LoadResult struct {
 }
 
 // loadBatchBodies bounds how many distinct request bodies batch mode
-// prebuilds; beyond it the rotation repeats (batches over the cache
-// bound bypass the response cache, so repeats still measure compute).
+// prebuilds; beyond it the rotation repeats (/batch is uncached, so
+// repeats still measure compute).
 const loadBatchBodies = 128
 
 // Load runs one configured mix to completion.
@@ -356,11 +355,11 @@ func makeBatchBodies(cfg LoadConfig, codec string, next func() [2]int) ([][]byte
 // pairs it answered, not the client's assumption that all were.
 func countBatchPairs(codec string, body []byte) (int, error) {
 	if codec == "bin" {
-		// 4-byte frame length, then magic(4) ver(2) op(1) pad(1) npairs(4).
-		if len(body) < 16 || binary.LittleEndian.Uint32(body[4:]) != batchBinMagic {
+		var pairs [1]uint32
+		if !peekHeader(body, pairs[:]) {
 			return 0, fmt.Errorf("hbserve: short or unframed binary batch response")
 		}
-		return int(binary.LittleEndian.Uint32(body[12:])), nil
+		return int(pairs[0]), nil
 	}
 	i := bytes.Index(body, []byte(`"count":`))
 	if i < 0 {

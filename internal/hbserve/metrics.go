@@ -306,7 +306,7 @@ func (m *Metrics) WriteTo(w io.Writer, cache *RouteCache, pool *Pool) {
 
 	if cache != nil {
 		hits, misses, dedups := cache.Stats()
-		fmt.Fprintf(w, "# HELP hbd_route_cache_hits_total Response-cache hits (/paths, small /batch).\n# TYPE hbd_route_cache_hits_total counter\nhbd_route_cache_hits_total %d\n", hits)
+		fmt.Fprintf(w, "# HELP hbd_route_cache_hits_total Response-cache hits (/paths).\n# TYPE hbd_route_cache_hits_total counter\nhbd_route_cache_hits_total %d\n", hits)
 		fmt.Fprintf(w, "# HELP hbd_route_cache_misses_total Response-cache misses (computations).\n# TYPE hbd_route_cache_misses_total counter\nhbd_route_cache_misses_total %d\n", misses)
 		fmt.Fprintf(w, "# HELP hbd_route_cache_dedup_total Requests coalesced onto another's computation.\n# TYPE hbd_route_cache_dedup_total counter\nhbd_route_cache_dedup_total %d\n", dedups)
 		fmt.Fprintf(w, "# HELP hbd_route_cache_entries Resident response-cache entries.\n# TYPE hbd_route_cache_entries gauge\nhbd_route_cache_entries %d\n", cache.Len())

@@ -108,8 +108,15 @@ func appendFaultRouteBody(out []byte, d Dims, u, v int, faults []int, within boo
 	return append(out, "}\n"...)
 }
 
+// appendJSONInts renders one named JSON int array field, comma first.
+func appendJSONInts[T int | int32 | uint8](out []byte, name string, vals []T) []byte {
+	out = append(out, ',', '"')
+	out = append(out, name...)
+	return appendIntArray(append(out, '"', ':'), vals)
+}
+
 // appendIntArray renders one JSON int array ([] for an empty slice).
-func appendIntArray(out []byte, vals []int) []byte {
+func appendIntArray[T int | int32 | uint8](out []byte, vals []T) []byte {
 	out = append(out, '[')
 	for i, v := range vals {
 		if i > 0 {

@@ -11,15 +11,17 @@
 // /route is recomputed on every request: the query is read once from
 // the raw query string, the route comes from the allocation-free
 // AppendRoute kernel, and the body is appended into a pooled buffer, so
-// a recompute costs less than a cache lookup did. /paths (a cold
-// case-3 answer costs milliseconds) and small /batch bodies are
-// rendered once and cached as bytes, marked by an X-Cache header;
-// identical queries return byte-identical bodies on every endpoint, no
-// matter how they interleave. /faultroute takes a caller-supplied fault
-// set and is deliberately uncached (fault sets are high-cardinality);
-// /conformance re-runs the paper's invariant registry on demand;
-// /estimate answers sampled diameter/distance questions with explicit
-// confidence statements on instances too large for exact sweeps.
+// a recompute costs less than a cache lookup did. /batch is recomputed
+// too: a pair costs about a microsecond to answer, and a response cache
+// in front of it never hit under batch load. /paths (a cold case-3
+// answer costs milliseconds) is rendered once and cached as bytes,
+// marked by an X-Cache header; identical queries return byte-identical
+// bodies on every endpoint, no matter how they interleave. /faultroute
+// takes a caller-supplied fault set and is deliberately uncached (fault
+// sets are high-cardinality); /conformance re-runs the paper's
+// invariant registry on demand; /estimate answers sampled
+// diameter/distance questions with explicit confidence statements on
+// instances too large for exact sweeps.
 //
 // Every instance is served by the pure label-arithmetic implicit
 // backend (core.Implicit), so a cold hbd answers /route, /paths and
@@ -118,10 +120,9 @@ func (ir *instanceRouter) setFaults(faults []int) error {
 
 // Config sizes a Server. Zero values select the defaults.
 type Config struct {
-	PoolMax    int // max resident HB instances (DefaultPoolMax)
-	MaxOrder   int // max nodes of a served instance (DefaultMaxOrder)
-	CacheSize  int // /paths and /batch cache capacity in entries; < 0 disables
-	CacheShard int // response-cache shard count (DefaultCacheShards)
+	PoolMax   int // max resident HB instances (DefaultPoolMax)
+	MaxOrder  int // max nodes of a served instance (DefaultMaxOrder)
+	CacheSize int // /paths cache capacity in entries; < 0 disables
 	// RequestTimeout bounds each instrumented request: the heavy
 	// handlers answer 503 once it has passed since the request started;
 	// 0 means DefaultRequestTimeout, < 0 disables the deadline.
@@ -135,8 +136,7 @@ type Config struct {
 	BatchWorkers int
 }
 
-// DefaultCacheSize holds rendered /paths and small /batch bodies;
-// entries are small (m+4 paths of tens of ints) so this is a few MB at
+// DefaultCacheSize holds rendered /paths bodies; entries are small (m+4 paths of tens of ints) so this is a few MB at
 // worst.
 const DefaultCacheSize = 4096
 
@@ -170,7 +170,7 @@ func NewServer(cfg Config) *Server {
 	}
 	s := &Server{
 		pool:         &Pool{Max: cfg.PoolMax, MaxOrder: cfg.MaxOrder},
-		cache:        NewRouteCache(size, cfg.CacheShard),
+		cache:        NewRouteCache(size, DefaultCacheShards),
 		metrics:      NewMetrics(),
 		mux:          http.NewServeMux(),
 		timeout:      timeout,
@@ -205,7 +205,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // it runs in-process during tests).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Cache exposes the /paths and /batch response cache for stats
+// Cache exposes the /paths response cache for stats
 // inspection.
 func (s *Server) Cache() *RouteCache { return s.cache }
 
@@ -348,7 +348,6 @@ var (
 	hdrBatchBin   = []string{ctBatchBin}
 	hdrHit        = []string{"hit"}
 	hdrMiss       = []string{"miss"}
-	hdrBypass     = []string{"bypass"}
 	hdrRetryAfter = []string{"1"}
 )
 
@@ -363,8 +362,6 @@ func headerValue(v string) []string {
 		return hdrHit
 	case "miss":
 		return hdrMiss
-	case "bypass":
-		return hdrBypass
 	}
 	return []string{v}
 }

@@ -9,7 +9,10 @@
 //
 // The format is little-endian throughout and gated three ways on load:
 // a magic number, an explicit version, and a trailing CRC-64/ECMA over
-// every preceding byte. Loading prefers mmap (the kernel pages the
+// every preceding byte. A file that passes the checksum is still
+// bounds-checked (section sizes against the file length, the path
+// index against the blob), so a well-signed but malformed file is an
+// error, never a panic. Loading prefers mmap (the kernel pages the
 // tables in on demand and shares them across processes) with a plain
 // read fallback, so a snapshot behaves identically on platforms or
 // filesystems where mapping fails.
@@ -225,6 +228,11 @@ func Decode(data []byte) (*Snapshot, error) {
 	if s.Order <= 0 || histLen < 0 || pathBytes < 0 {
 		return nil, fmt.Errorf("implausible header: order %d histLen %d pathBytes %d", s.Order, histLen, pathBytes)
 	}
+	// Each count sizes a section inside the file, so none exceeds its
+	// length; bounding them first keeps the section sum from wrapping.
+	if s.Order > len(data) || histLen > len(data) || pathBytes > len(data) {
+		return nil, fmt.Errorf("truncated: %d bytes cannot hold order %d histLen %d pathBytes %d", len(data), s.Order, histLen, pathBytes)
+	}
 	want := headerSize + 8*histLen + 2*s.Order + 4*(s.Order+1) + pathBytes + 8
 	if len(data) != want {
 		return nil, fmt.Errorf("truncated: %d bytes, sections need %d", len(data), want)
@@ -240,6 +248,16 @@ func Decode(data []byte) (*Snapshot, error) {
 	s.pathIndex = data[off : off+4*(s.Order+1)]
 	off += 4 * (s.Order + 1)
 	s.pathBlob = data[off : off+pathBytes]
+	// The path regions tile the blob in node order, so a lookup parses
+	// only its own bytes.
+	prev := 0
+	for v := 0; v <= s.Order; v++ {
+		at := int(le.Uint32(s.pathIndex[4*v:]))
+		if at < prev || v == 0 && at != 0 || v == s.Order && at != pathBytes {
+			return nil, fmt.Errorf("corrupt path index at node %d: offset %d after %d, blob %d bytes", v, at, prev, pathBytes)
+		}
+		prev = at
+	}
 	return s, nil
 }
 
@@ -315,6 +333,9 @@ func (s *Snapshot) DisjointPaths(v int) ([][]int, error) {
 		return nil, fmt.Errorf("snapshot: empty path region for node %d", v)
 	}
 	count := int(le.Uint16(region))
+	if 2+2*count > len(region) {
+		return nil, fmt.Errorf("snapshot: corrupt path region for node %d", v)
+	}
 	off := 2
 	paths := make([][]int, 0, count)
 	for p := 0; p < count; p++ {

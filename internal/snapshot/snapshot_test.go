@@ -2,6 +2,7 @@ package snapshot_test
 
 import (
 	"encoding/binary"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -155,6 +156,7 @@ func TestRejections(t *testing.T) {
 		b[len(b)-1] ^= 0x01
 		return b
 	})
+	corrupt("section sizes wrap", func([]byte) []byte { return wrappingSnapshot() })
 
 	// The same gates must hold through the file loader.
 	bad := filepath.Join(t.TempDir(), "bad.hbsnap")
@@ -193,4 +195,85 @@ func TestDisjointPathsBounds(t *testing.T) {
 			t.Errorf("paths(%d) accepted", v)
 		}
 	}
+}
+
+// withCRC rewrites the trailing checksum of b to match its content, so
+// a mutated file reaches the bounds checks behind the CRC gate.
+func withCRC(b []byte) []byte {
+	if len(b) >= 8 {
+		sum := crc64.Checksum(b[:len(b)-8], crc64.MakeTable(crc64.ECMA))
+		binary.LittleEndian.PutUint64(b[len(b)-8:], sum)
+	}
+	return b
+}
+
+// wrappingSnapshot is a 64-byte file with a valid checksum whose order
+// (2^61) and path-blob size (2^62+4) make the section sizes sum to
+// exactly 64 in wrapping int arithmetic.
+func wrappingSnapshot() []byte {
+	le := binary.LittleEndian
+	b := make([]byte, 64)
+	le.PutUint32(b[0:], snapshot.Magic)
+	le.PutUint32(b[4:], snapshot.Version)
+	le.PutUint32(b[8:], 1)
+	le.PutUint32(b[12:], 3)
+	le.PutUint64(b[16:], 1<<61)
+	le.PutUint64(b[32:], 1<<62+4)
+	return withCRC(b)
+}
+
+// tinySnapshot is a valid 3-node file: one path to node 1, one to
+// node 2.
+func tinySnapshot() []byte {
+	le := binary.LittleEndian
+	b := make([]byte, 48)
+	le.PutUint32(b[0:], snapshot.Magic)
+	le.PutUint32(b[4:], snapshot.Version)
+	le.PutUint64(b[16:], 3)  // order
+	le.PutUint32(b[24:], 2)  // diameter
+	le.PutUint32(b[28:], 3)  // histLen
+	le.PutUint64(b[32:], 28) // pathBytes
+	for _, h := range []uint64{3, 4, 2} {
+		b = le.AppendUint64(b, h)
+	}
+	for _, e := range []uint16{2, 1, 2} {
+		b = le.AppendUint16(b, e)
+	}
+	for _, at := range []uint32{0, 0, 12, 28} {
+		b = le.AppendUint32(b, at)
+	}
+	for _, w := range []uint16{1, 2} { // node 1: one path 0,1
+		b = le.AppendUint16(b, w)
+	}
+	b = le.AppendUint32(le.AppendUint32(b, 0), 1)
+	for _, w := range []uint16{1, 3} { // node 2: one path 0,1,2
+		b = le.AppendUint16(b, w)
+	}
+	b = le.AppendUint32(le.AppendUint32(le.AppendUint32(b, 0), 1), 2)
+	return withCRC(append(b, make([]byte, 8)...))
+}
+
+// FuzzSnapshotDecode mutates snapshot files, re-signs them, and
+// requires Decode to refuse or to return a snapshot that answers every
+// in-range query without panicking.
+func FuzzSnapshotDecode(f *testing.F) {
+	// Seeds stay small: the fuzzer minimises every new input, and
+	// minimising a real snapshot (kilobytes) eats the time budget.
+	f.Add(tinySnapshot())
+	f.Add(wrappingSnapshot())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := snapshot.Decode(withCRC(data))
+		if err != nil {
+			return
+		}
+		for v := 0; v < s.Order; v++ {
+			s.Eccentricity(v)
+			if v > 0 {
+				s.DisjointPaths(v)
+			}
+		}
+		s.EccentricityRange()
+		s.MeanDistance()
+		s.Fractions()
+	})
 }
