@@ -209,20 +209,3 @@ func TestFirstOr(t *testing.T) {
 		t.Errorf("firstOr(nil) = %q", got)
 	}
 }
-
-// TestServeBadSnapshotDir: a broken -snapshotdir must fail startup, not
-// serve without the artifacts it was told to load.
-func TestServeBadSnapshotDir(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-mode", "serve",
-		"-addr", "127.0.0.1:0",
-		"-snapshotdir", filepath.Join(t.TempDir(), "absent"),
-	}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1\nstderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "snapshot") {
-		t.Errorf("stderr %q", stderr.String())
-	}
-}

@@ -103,6 +103,31 @@ func (hb *HyperButterfly) DiameterFormulaPaper() int { return hb.m + (3*hb.N()+1
 // ConnectivityFormula returns m+4 (Corollary 1).
 func (hb *HyperButterfly) ConnectivityFormula() int { return hb.m + 4 }
 
+// DistanceHistogram returns hist, where hist[d] counts the ordered
+// (u, v) pairs at distance d, self pairs included, so it sums to
+// Order². HB(m,n) is a Cayley graph (Theorem 1) and distance adds over
+// its two factors (Remark 6), so every source sees the binomial row
+// C(m,·) convolved with B_n's identity-rooted histogram, and the
+// all-pairs histogram is Order times that. len(hist)-1 is the diameter
+// and every node's eccentricity. Only the B_n histogram is searched,
+// once per n.
+func (hb *HyperButterfly) DistanceHistogram() []int64 {
+	bh := hb.bf.DistanceHistogram()
+	hist := make([]int64, len(bh)+hb.m)
+	binom := int64(1)
+	for k := 0; k <= hb.m; k++ {
+		for d, c := range bh {
+			hist[k+d] += binom * c
+		}
+		binom = binom * int64(hb.m-k) / int64(k+1)
+	}
+	order := int64(hb.Order())
+	for d := range hist {
+		hist[d] *= order
+	}
+	return hist
+}
+
 // ValidNode reports whether v is a node id of this instance. Long-lived
 // callers (cmd/hbnet, the hbd query service) validate untrusted ids with
 // this before handing them to Route/Apply, which panic on bad labels.

@@ -11,7 +11,8 @@ import "fmt"
 // fault-avoiding engine, and the hbd service accept either backend.
 //
 // Order/AppendNeighbors make every Topology a graph.Graph, so the
-// sampled estimators and verifiers run on implicit instances unchanged.
+// traversal kernels and path verifiers run on implicit instances
+// unchanged.
 type Topology interface {
 	// Structure.
 	Order() int
@@ -26,6 +27,9 @@ type Topology interface {
 	EdgeCountFormula() int
 	DiameterFormula() int
 	ConnectivityFormula() int
+
+	// Exact all-pairs distance histogram from the product structure.
+	DistanceHistogram() []int64
 
 	// Routing (Remarks 5-6, Section 3).
 	Distance(u, v Node) int

@@ -149,3 +149,23 @@ func BenchmarkRouterForward(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkEstimate measures a repeat /estimate through the root
+// handler (EXPERIMENTS.md E-AB). The warm-up request searches B_n;
+// every iteration after it convolves the cached factor histogram and
+// renders the body.
+func BenchmarkEstimate(b *testing.B) {
+	h := NewServer(Config{}).Handler()
+	for _, dims := range []string{"m=10&n=10", "m=4&n=16", "m=0&n=19"} {
+		b.Run(dims, func(b *testing.B) {
+			w := newStubWriter()
+			r := httptest.NewRequest(http.MethodGet, "/estimate?"+dims, nil)
+			serveStub(b, h, w, r)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serveStub(b, h, w, r)
+			}
+		})
+	}
+}

@@ -228,7 +228,12 @@ func (rt *Router) Serve(ctx context.Context, ln net.Listener, grace time.Duratio
 	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), grace)
 	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
+	err := srv.Shutdown(shutCtx)
+	// A forward that found an idle connection first leaves the one it
+	// dialed for itself idle here, and the replica counts a connection
+	// that never sent a request as busy for 5 s while it drains.
+	rt.client.CloseIdleConnections()
+	if err != nil {
 		return fmt.Errorf("hbserve: router drain incomplete after %v: %w", grace, err)
 	}
 	<-errc
@@ -349,7 +354,7 @@ func (rt *Router) forwardOnce(r *http.Request, i int, body []byte) (*http.Respon
 func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, i int) {
 	defer resp.Body.Close()
 	h := w.Header()
-	for _, k := range []string{"Content-Type", "X-Cache", "X-Snapshot", "Retry-After"} {
+	for _, k := range []string{"Content-Type", "X-Cache", "Retry-After"} {
 		if v := resp.Header.Get(k); v != "" {
 			h.Set(k, v)
 		}

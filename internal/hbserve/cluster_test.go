@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -18,9 +19,32 @@ import (
 
 // TestRingAffinityUnderMembershipChange pins the property the cluster
 // tier leans on: ejecting a replica moves only that replica's keys —
-// every key owned by a survivor keeps its owner.
+// every key owned by a survivor keeps its owner — and every replica
+// owns a fair share. The name sets include loopback URLs that differ
+// only by port, the names a local fleet really has.
 func TestRingAffinityUnderMembershipChange(t *testing.T) {
-	names := []string{"http://a:1", "http://b:2", "http://c:3"}
+	nameSets := [][]string{{"http://a:1", "http://b:2", "http://c:3"}}
+	loopback := func(ports ...int) []string {
+		var names []string
+		for _, p := range ports {
+			names = append(names, fmt.Sprintf("http://127.0.0.1:%d", p))
+		}
+		return names
+	}
+	for _, base := range []int{8081, 9001, 18081} {
+		nameSets = append(nameSets, loopback(base, base+1, base+2))
+	}
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 32; i++ {
+		nameSets = append(nameSets, loopback(32768+rng.Intn(28000), 32768+rng.Intn(28000), 32768+rng.Intn(28000)))
+	}
+	for _, names := range nameSets {
+		checkRingAffinity(t, names)
+	}
+}
+
+func checkRingAffinity(t *testing.T, names []string) {
+	t.Helper()
 	ring := newHashRing(names, 0)
 
 	const keys = 4096
@@ -29,17 +53,14 @@ func TestRingAffinityUnderMembershipChange(t *testing.T) {
 	for k := 0; k < keys; k++ {
 		ownerAll[k] = ring.Lookup(shardKey(Dims{M: 2, N: 4}, k, k+1), nil)
 		if ownerAll[k] < 0 || ownerAll[k] >= len(names) {
-			t.Fatalf("key %d mapped to replica %d", k, ownerAll[k])
+			t.Fatalf("%v: key %d mapped to replica %d", names, k, ownerAll[k])
 		}
 		counts[ownerAll[k]]++
 	}
 	for i, c := range counts {
-		if c == 0 {
-			t.Fatalf("replica %d owns no keys out of %d", i, keys)
-		}
 		// Balance within a loose band: vnodes keep shares near 1/3 each.
 		if frac := float64(c) / keys; frac < 0.15 || frac > 0.55 {
-			t.Errorf("replica %d owns %.2f of the keyspace, want ~0.33", i, frac)
+			t.Errorf("%v: replica %d owns %.3f of the keyspace, want ~0.33", names, i, frac)
 		}
 	}
 
@@ -49,22 +70,22 @@ func TestRingAffinityUnderMembershipChange(t *testing.T) {
 	for k := 0; k < keys; k++ {
 		owner := ring.Lookup(shardKey(Dims{M: 2, N: 4}, k, k+1), alive)
 		if owner == 1 {
-			t.Fatalf("key %d mapped to the ejected replica", k)
+			t.Fatalf("%v: key %d mapped to the ejected replica", names, k)
 		}
 		if ownerAll[k] != 1 {
 			if owner != ownerAll[k] {
-				t.Fatalf("key %d moved %d -> %d though its owner survived", k, ownerAll[k], owner)
+				t.Fatalf("%v: key %d moved %d -> %d though its owner survived", names, k, ownerAll[k], owner)
 			}
 		} else {
 			moved++
 		}
 	}
 	if moved == 0 {
-		t.Error("ejected replica owned no keys; rebalance untested")
+		t.Errorf("%v: ejected replica owned no keys; rebalance untested", names)
 	}
 
 	if got := ring.Lookup(42, func(int) bool { return false }); got != -1 {
-		t.Errorf("Lookup with no live replica = %d, want -1", got)
+		t.Errorf("%v: Lookup with no live replica = %d, want -1", names, got)
 	}
 }
 

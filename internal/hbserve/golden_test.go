@@ -590,3 +590,67 @@ func TestBatchGolden(t *testing.T) {
 		check(p.name, p.name+"/malformed", h)
 	}
 }
+
+// estimateGoldenDigests pins /estimate on every dims of at most 2^12
+// nodes: one SHA-256 per dims over the status, Content-Type and body.
+// They were recorded from bodies rendered out of precomputed all-pairs
+// sweeps, before /estimate computed its answer from the product
+// structure.
+var estimateGoldenDigests = map[string]string{
+	"0x3": "4f054a5db1657ef1216e9b2263cf49fd440a834ca1cc4028c68059b5377c45a6",
+	"1x3": "920a9e3a4a27cf2a07cd7e93e172d5380879fda642986d32e488ddded1fe7826",
+	"2x3": "e38043daf7ec95de3716b0c83e700ddee805c874d145fb28e950f6934c1a47aa",
+	"3x3": "d1a0bcab624fe1f5585391e8b5eee882de7f6b3b1c7bd3f2ff33efaff90d81fa",
+	"4x3": "39cd7f615a3f41a81be39975786fc40c746aac9a90ddc02a8c167cb00229196a",
+	"5x3": "fc9c8499db748aa58ef977d47d183f541c76daa93920e79aff471e04263c5b9b",
+	"6x3": "50a0a329613fa0fee3563a831398dd5ffdf967666c8c2f1da84b7f039ff4bed5",
+	"7x3": "38b79cfd23e675d38cd8fa5aef51fb013487a8efe65052f7304b0f93ff764f0d",
+	"0x4": "d2fb3b6227e23c6e845818b1de79cde1dbe0c766c6aa5796d7e6446771da061f",
+	"1x4": "2b320a00dff29279457fedb182bad498ab09ca9fd3a3ec74af3357916152dc09",
+	"2x4": "472e7cdc4b66782f58458ce33d6d399c8d63b3860f4aca3d3519196cad3ef916",
+	"3x4": "b3c595f71f40d58c387494dc81d77892605a04cc1f532980a4b268ce394f1744",
+	"4x4": "a12f445248d5416c966d3fed7c0f82a3989779c14f1033d2c39a5283d0910f5a",
+	"5x4": "05b78c75ed43e57508af7b21d4cc2d69c38c4571555cf87d6aa73bcfec6f15a4",
+	"6x4": "89b7195e8064bf1b3308bc9de2d0b83e719ca3cb41c47ef260f9157cb55a196f",
+	"0x5": "9a44102c9b389069d383bc832725cff20847297ee0c694e19b94d98af0954ec3",
+	"1x5": "3313054eae9f592d4907ec4ec6389dee48fab49dad0b30f4738e19e85d303896",
+	"2x5": "87fa967ae937743b552bdb0b0d23fa267e0e40e755e7e71c7c1fa2253c9bbc14",
+	"3x5": "e26fd83f55cd4e8dcc77055404eea61f55163b458e11cf1882cf44317e21d130",
+	"4x5": "b6689b48bfafc0c0114ba6aac4b9824f46dee528a7d40301bff07428889a0430",
+	"0x6": "1a3a56460d7edf336aad1317791731a87fa07697a47555f889bac118262f2e49",
+	"1x6": "690013bf2177237fdac661307230a0edf8bd415f8c3fbb000b09dd5f7819441f",
+	"2x6": "1c4d0698946e94fe176f7c74bc8d8453911e08ef47d9cbb85a7de47097e0c3b0",
+	"3x6": "92216d2d29e9e04a057c48a40086353e22b05af438fda0e235117dc77dadc8bc",
+	"0x7": "e68de0acc454747874b5b0badd537b6b43caa5496e19c52b828c60aa6c45d758",
+	"1x7": "56a52a4e75c387a36ae791172f12c01bcf799103bdf68dbbceceb57865216fb6",
+	"2x7": "7c6f3d075923de9c669f5151be8dd7904c51d24413025a9f5bcd78c32202ed01",
+	"0x8": "787888776e34ba5e23227379cf2840da80977c664b0daea2fe05da796b0c5797",
+	"1x8": "47c75d0b828c4f9e318f3c5707b85e04df8a1f698b04b3f2f6d4fee116106e3f",
+}
+
+// TestEstimateGolden requires /estimate on every pinned dims to hash
+// to its digest, byte for byte.
+func TestEstimateGolden(t *testing.T) {
+	_, ts := newTestServer(t)
+	for key, want := range estimateGoldenDigests {
+		var m, n int
+		if _, err := fmt.Sscanf(key, "%dx%d", &m, &n); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(fmt.Sprintf("%s/estimate?m=%d&n=%d", ts.URL, m, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		fmt.Fprintf(h, "%d\n%s\n%d\n", resp.StatusCode, resp.Header.Get("Content-Type"), len(raw))
+		h.Write(raw)
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+			t.Errorf("/estimate %s: digest mismatch:\n\t%q: %q,\nbody %s", key, key, got, raw)
+		}
+	}
+}

@@ -1,9 +1,14 @@
 package hbserve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -92,9 +97,12 @@ func TestImplicitServesGiantFaultRoute(t *testing.T) {
 	}
 }
 
+// TestImplicitServesGiantEstimate: HB(10,10) gets the exact answer:
+// diameter 25 = every eccentricity, a histogram over all Order²
+// ordered pairs, and the retired sampler parameters are ignored.
 func TestImplicitServesGiantEstimate(t *testing.T) {
 	_, ts := newTestServer(t)
-	code, body := get(t, giantURL(ts, "/estimate?samples=512&seed=7"))
+	code, body := get(t, giantURL(ts, "/estimate?"))
 	if code != 200 {
 		t.Fatalf("status %d: %s", code, body)
 	}
@@ -102,33 +110,35 @@ func TestImplicitServesGiantEstimate(t *testing.T) {
 	if err := json.Unmarshal(body, &res); err != nil {
 		t.Fatal(err)
 	}
-	formula := 10 + 3*10/2 // Theorem 3: m + floor(3n/2)
-	if res.DiameterFormula != formula {
-		t.Errorf("diameter formula %d, want %d", res.DiameterFormula, formula)
+	if !res.Exact || res.Order != giantOrder {
+		t.Errorf("exact=%v order=%d, want exact over %d nodes", res.Exact, res.Order, giantOrder)
 	}
-	if res.DiameterLower < 1 || res.DiameterLower > formula {
-		t.Errorf("sampled lower bound %d outside (0,%d]", res.DiameterLower, formula)
+	if res.Diameter != 25 || res.DiameterFormula != 25 || res.EccMin != 25 || res.EccMax != 25 {
+		t.Errorf("diameter %d formula %d ecc [%d,%d], want 25 throughout",
+			res.Diameter, res.DiameterFormula, res.EccMin, res.EccMax)
 	}
-	if res.DiameterUpper != formula {
-		t.Errorf("upper bound %d, want the structural bound %d with no scans", res.DiameterUpper, formula)
+	var sum int64
+	for _, c := range res.Hist {
+		sum += c
 	}
-	if res.Samples != 512 || res.CIHalfWidth <= 0 {
-		t.Errorf("samples=%d ci=%g, want explicit evidence fields", res.Samples, res.CIHalfWidth)
+	if want := int64(giantOrder) * giantOrder; sum != want || len(res.Hist) != 26 {
+		t.Errorf("hist sums to %d over %d distances, want Order² = %d over 26", sum, len(res.Hist), want)
 	}
-	// Exact scans are refused on an instance this size.
-	code, _ = get(t, giantURL(ts, "/estimate?samples=64&scan=1"))
-	if code != 400 {
-		t.Errorf("scan on HB(10,10): status %d, want 400", code)
+	if res.MeanDistance <= 1 || res.MeanDistance >= 25 || len(res.Fractions) != 26 {
+		t.Errorf("mean distance %g, %d fractions", res.MeanDistance, len(res.Fractions))
+	}
+	_, again := get(t, giantURL(ts, "/estimate?samples=512&seed=7&live=1&scan=1"))
+	if string(again) != string(body) {
+		t.Errorf("retired sampler parameters changed the body:\n%s\nvs\n%s", again, body)
 	}
 }
 
-// TestEstimateEndpointSmall cross-checks /estimate against the known
-// exact diameter on a dense-tier instance, where ScanSources certifies
-// the exact value by vertex-transitivity (one eccentricity = diameter).
+// TestEstimateEndpointSmall holds /estimate on HB(2,3) to a
+// bit-parallel all-sources sweep of the materialised graph.
 func TestEstimateEndpointSmall(t *testing.T) {
 	_, ts := newTestServer(t)
-	hb := core.MustNew(2, 3)
-	code, body := get(t, fmt.Sprintf("%s/estimate?m=2&n=3&samples=4096&scan=1", ts.URL))
+	sweep := core.MustNew(2, 3).Dense().AllSourcesBits(nil, 0)
+	code, body := get(t, fmt.Sprintf("%s/estimate?m=2&n=3", ts.URL))
 	if code != 200 {
 		t.Fatalf("status %d: %s", code, body)
 	}
@@ -136,17 +146,46 @@ func TestEstimateEndpointSmall(t *testing.T) {
 	if err := json.Unmarshal(body, &res); err != nil {
 		t.Fatal(err)
 	}
-	exact := hb.DiameterFormula()
-	if res.DiameterLower != exact {
-		t.Errorf("scanned lower bound %d, want exact diameter %d", res.DiameterLower, exact)
+	if !slices.Equal(res.Hist, sweep.Hist) {
+		t.Errorf("hist %v, all-sources sweep %v", res.Hist, sweep.Hist)
 	}
-	if res.DiameterUpper != exact {
-		t.Errorf("upper bound %d, want min(formula, 2·ecc) = %d", res.DiameterUpper, exact)
+	lo, hi := slices.Min(sweep.Ecc), slices.Max(sweep.Ecc)
+	if res.EccMin != int(lo) || res.EccMax != int(hi) || res.Diameter != int(hi) {
+		t.Errorf("diameter %d ecc [%d,%d], sweep ecc [%d,%d]", res.Diameter, res.EccMin, res.EccMax, lo, hi)
 	}
-	if res.ScannedSources != 1 {
-		t.Errorf("scanned_sources %d, want 1", res.ScannedSources)
+}
+
+// TestEstimateConcurrentCold: eight simultaneous first requests for an
+// n no other test touches share one factor search and get one body.
+func TestEstimateConcurrentCold(t *testing.T) {
+	_, ts := newTestServer(t)
+	bodies := make([][]byte, 8)
+	codes := make([]int, len(bodies))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			resp, err := http.Get(ts.URL + "/estimate?m=3&n=11")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			codes[i] = resp.StatusCode
+			bodies[i], err = io.ReadAll(resp.Body)
+			if err != nil {
+				t.Error(err)
+			}
+		}(i)
 	}
-	if res.MeanDistance <= 0 || res.MeanCI <= 0 {
-		t.Errorf("mean %g ± %g, want positive point estimate and interval", res.MeanDistance, res.MeanCI)
+	close(start)
+	wg.Wait()
+	for i := range bodies {
+		if codes[i] != 200 || !bytes.Equal(bodies[i], bodies[0]) {
+			t.Fatalf("request %d: status %d body %s\nrequest 0: %s", i, codes[i], bodies[i], bodies[0])
+		}
 	}
 }

@@ -28,6 +28,21 @@ type ringPoint struct {
 // handful of replicas without making lookups or construction heavy.
 const defaultVNodes = 64
 
+// ringHash places a point or a key on the ring: FNV-1a, then murmur3's
+// 64-bit finalizer. FNV-1a alone leaves names that differ only in
+// their last bytes (loopback replica URLs that differ only by port)
+// clustered on the ring, so one replica could own a few percent of
+// the keyspace; the finalizer spreads every input bit over the whole
+// word.
+func ringHash(b []byte) uint64 {
+	h := fnv1aBytes(b)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
+}
+
 // newHashRing builds the ring over n replicas identified by the given
 // stable names (the cluster tier passes base URLs); vnodes <= 0 selects
 // defaultVNodes.
@@ -38,7 +53,7 @@ func newHashRing(names []string, vnodes int) *hashRing {
 	r := &hashRing{points: make([]ringPoint, 0, len(names)*vnodes), n: len(names)}
 	for i, name := range names {
 		for j := 0; j < vnodes; j++ {
-			h := fnv1a(name + "#" + strconv.Itoa(j))
+			h := ringHash([]byte(name + "#" + strconv.Itoa(j)))
 			r.points = append(r.points, ringPoint{hash: h, replica: i})
 		}
 	}
@@ -110,9 +125,8 @@ func shardKey(d Dims, u, v int) uint64 {
 
 // shardKeyAppend is shardKey over a caller-provided scratch buffer, so
 // the per-pair partition loop in the scatter path hashes without
-// allocating. The byte sequence (and therefore the hash) is identical
-// to the original string-concatenation form, keeping batch pairs and
-// single queries for the same (dims,u,v) on the same owner.
+// allocating. Batch pairs and single queries for the same (dims,u,v)
+// hash the same bytes, so they share an owner.
 func shardKeyAppend(d Dims, u, v int, buf []byte) uint64 {
 	buf = strconv.AppendInt(buf, int64(d.M), 10)
 	buf = append(buf, '|')
@@ -121,5 +135,5 @@ func shardKeyAppend(d Dims, u, v int, buf []byte) uint64 {
 	buf = strconv.AppendInt(buf, int64(u), 10)
 	buf = append(buf, '|')
 	buf = strconv.AppendInt(buf, int64(v), 10)
-	return fnv1aBytes(buf)
+	return ringHash(buf)
 }

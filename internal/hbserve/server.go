@@ -19,9 +19,8 @@
 // bodies on every endpoint, no matter how they interleave. /faultroute
 // takes a caller-supplied fault set and is deliberately uncached (fault
 // sets are high-cardinality); /conformance re-runs the paper's
-// invariant registry on demand; /estimate answers sampled
-// diameter/distance questions with explicit confidence statements on
-// instances too large for exact sweeps.
+// invariant registry on demand; /estimate answers the exact distance
+// distribution of any served instance from the product structure.
 //
 // Every instance is served by the pure label-arithmetic implicit
 // backend (core.Implicit), so a cold hbd answers /route, /paths and
@@ -64,13 +63,6 @@ type Server struct {
 	timeout      time.Duration // per-request deadline
 	maxInFlight  int64         // load-shedding bound
 	batchWorkers int           // /batch kernel fan-out; <= 0 means GOMAXPROCS
-
-	// snapshots holds mmap-loaded precomputed artifacts keyed by dims;
-	// /estimate answers covered instances from the pre-rendered body
-	// instead of sampling. Written by LoadSnapshots, read on the hot
-	// path.
-	snapMu    sync.RWMutex
-	snapshots map[Dims]*snapshotEntry
 
 	// scratch pools the BFS kernel state used by verify=1 requests, so
 	// verification costs one traversal and zero steady-state
@@ -177,7 +169,6 @@ func NewServer(cfg Config) *Server {
 		maxInFlight:  maxInFlight,
 		batchWorkers: cfg.BatchWorkers,
 		routers:      make(map[Dims]*instanceRouter),
-		snapshots:    make(map[Dims]*snapshotEntry),
 	}
 	s.scratch.New = func() any { return graph.NewScratch(0) }
 	s.mux.HandleFunc("/route", s.instrument("route", s.handleRoute))
@@ -637,111 +628,62 @@ func (s *Server) handleConformance(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, rep)
 }
 
-// estimate request caps: samples are bounded so a request stays well
-// under the deadline even at ~µs per label-arithmetic distance, and
-// exact source scans (Order distance evaluations each) are only allowed
-// on instances small enough to finish one quickly.
-const (
-	defaultEstimateSamples = 2048
-	maxEstimateSamples     = 1 << 16
-	maxScanSources         = 4
-	maxScanOrder           = 1 << 20
-)
-
+// estimateResponse is the /estimate body: the exact ordered-pair
+// distance histogram, self pairs included, and what follows from it.
+// Every eccentricity equals the diameter, so ecc_min and ecc_max are
+// both len(hist)-1; exact is always true.
 type estimateResponse struct {
-	M     int `json:"m"`
-	N     int `json:"n"`
-	Order int `json:"order"`
+	M     int  `json:"m"`
+	N     int  `json:"n"`
+	Order int  `json:"order"`
+	Exact bool `json:"exact"`
 
-	Samples    int     `json:"samples"`
-	Confidence float64 `json:"confidence"`
-	Seed       int64   `json:"seed"`
-
-	DiameterLower   int `json:"diameter_lower"`
-	DiameterUpper   int `json:"diameter_upper"`
+	Diameter        int `json:"diameter"`
 	DiameterFormula int `json:"diameter_formula"`
-	ScannedSources  int `json:"scanned_sources,omitempty"`
+	EccMin          int `json:"ecc_min"`
+	EccMax          int `json:"ecc_max"`
 
 	MeanDistance float64   `json:"mean_distance"`
-	MeanCI       float64   `json:"mean_ci"`
-	CIHalfWidth  float64   `json:"ci_half_width"`
+	Hist         []int64   `json:"hist"`
 	Fractions    []float64 `json:"fractions"`
 }
 
-// handleEstimate answers sampled structural questions — a diameter
-// bracket and the distance distribution with Hoeffding intervals — from
-// the distance oracle alone, so it works unchanged on instances where
-// exact sweeps are out of reach. Uncached: the seed parameter
-// makes the response identity high-cardinality and recomputation is
-// only milliseconds.
+// handleEstimate answers the exact distance distribution of any served
+// dims from the product structure (core.Topology.DistanceHistogram).
+// The first request for a given n searches B_n once; every later one,
+// for any m, convolves the cached factor histogram, so it is uncached
+// itself. mean_distance and fractions are over ordered pairs of
+// distinct nodes.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	q := parseQuery(r.URL.RawQuery)
-	top, d, err := s.instance(q)
+	top, d, err := s.instance(parseQuery(r.URL.RawQuery))
 	if err != nil {
 		writeErr(w, err)
-		return
-	}
-	// A loaded snapshot makes the answer exact and O(1); live=1 opts back
-	// into the sampled path (for comparing the estimator against truth).
-	if !boolParam(q, "live") {
-		if e := s.snapshotFor(d); e != nil {
-			w.Header()["X-Snapshot"] = hdrHit
-			writeBody(w, ctJSON, "", e.estimateBody)
-			return
-		}
-	}
-	samples, err := intParam(q, "samples", defaultEstimateSamples)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	if samples < 1 || samples > maxEstimateSamples {
-		writeErr(w, badRequest("samples=%d outside [1,%d]", samples, maxEstimateSamples))
-		return
-	}
-	seed, err := intParam(q, "seed", 0)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	scan, err := intParam(q, "scan", 0)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	if scan < 0 || scan > maxScanSources {
-		writeErr(w, badRequest("scan=%d outside [0,%d]", scan, maxScanSources))
-		return
-	}
-	if scan > 0 && top.Order() > maxScanOrder {
-		writeErr(w, badRequest("scan on %v (%d nodes) exceeds the exact-scan cap %d", d, top.Order(), maxScanOrder))
 		return
 	}
 	if err := checkDeadline(w, r); err != nil {
 		writeErr(w, err)
 		return
 	}
-	cfg := graph.EstConfig{
-		Samples:     samples,
-		Seed:        int64(seed),
-		KnownUpper:  top.DiameterFormula(),
-		ScanSources: scan,
+	hist := top.DistanceHistogram()
+	order := int64(top.Order())
+	pairs := order*order - order
+	var sum int64
+	fractions := make([]float64, len(hist))
+	for dist := 1; dist < len(hist); dist++ {
+		sum += int64(dist) * hist[dist]
+		fractions[dist] = float64(hist[dist]) / float64(pairs)
 	}
-	de := graph.EstimateDiameter(top.Order(), top.Distance, cfg)
-	he := graph.EstimateDistanceHistogram(top.Order(), top.Distance, cfg)
+	diameter := len(hist) - 1
 	writeJSON(w, estimateResponse{
 		M: d.M, N: d.N, Order: top.Order(),
-		Samples:         samples,
-		Confidence:      he.Confidence,
-		Seed:            int64(seed),
-		DiameterLower:   de.Lower,
-		DiameterUpper:   de.Upper,
+		Exact:           true,
+		Diameter:        diameter,
 		DiameterFormula: top.DiameterFormula(),
-		ScannedSources:  de.ScannedSources,
-		MeanDistance:    he.MeanDistance,
-		MeanCI:          he.MeanCI,
-		CIHalfWidth:     he.CIHalfWidth,
-		Fractions:       he.Fractions,
+		EccMin:          diameter,
+		EccMax:          diameter,
+		MeanDistance:    float64(sum) / float64(pairs),
+		Hist:            hist,
+		Fractions:       fractions,
 	})
 }
 

@@ -17,7 +17,7 @@ import (
 // the request header then carries m, n, pairs and faults as u32, the
 // response header pairs and total paths. Value columns are u32 per
 // entry, except the response's status column (u8 per pair). The README
-// ("Batch serving & snapshots") documents the same layout for clients.
+// ("Batch serving") documents the same layout for clients.
 
 const (
 	// batchBinMagic opens every header frame ("HBB1" on the wire).
